@@ -5,6 +5,8 @@
 #   make test-sqlite    the same suite with SQLite as the default backend
 #   make test-auto      the same suite under the cost-model-driven
 #                       adaptive executor (REPRO_EXECUTOR=auto)
+#   make test-process   the same suite under a 2-worker process
+#                       executor: every batch ships to the warm pool
 #   make test-remote    the same suite scattered over a 4-worker
 #                       loopback socket cluster (repro worker run)
 #   make test-remote-sharded  the same cluster with per-worker shard
@@ -14,7 +16,7 @@
 #   make bench-kernel   kernel-vs-frozenset combination benchmark
 #   make bench-parallel federation/stream scaling across worker counts
 #   make bench-storage  save/load/point-load per storage backend
-#   make bench-adaptive warm-pool dispatch, dirty-shard flush bytes,
+#   make bench-adaptive warm-pool dispatch time, dirty-shard flush bytes,
 #                       auto-vs-serial routing
 #   make bench-remote   remote scatter/gather vs serial across local
 #                       cluster sizes
@@ -26,7 +28,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:.:$(PYTHONPATH)
 
-.PHONY: test test-parallel test-sqlite test-auto test-remote \
+.PHONY: test test-parallel test-sqlite test-auto test-process test-remote \
 	test-remote-sharded bench bench-stream bench-kernel bench-parallel \
 	bench-storage bench-adaptive bench-remote lint lint-analysis \
 	quickstart
@@ -42,6 +44,12 @@ test-sqlite:
 
 test-auto:
 	REPRO_EXECUTOR=auto REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q
+
+# Four partitions over two warm workers: every partitioned batch is
+# pickled to the process pool (or, when it cannot pickle, run inline).
+test-process:
+	REPRO_EXECUTOR=process REPRO_WORKERS=2 REPRO_PARTITIONS=4 \
+		$(PYTHON) -m pytest -x -q
 
 # `repro worker run` forks a 4-daemon loopback cluster, exports
 # REPRO_EXECUTOR=remote / REPRO_WORKERS_ADDRS, and tears the cluster

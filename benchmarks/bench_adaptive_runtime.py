@@ -1,11 +1,10 @@
 """The adaptive runtime: warm-pool dispatch, dirty shards, auto routing.
 
-Three claims from the adaptive-runtime work, each measured and asserted:
+Three measurements from the adaptive-runtime work:
 
-* **Warm pool**: dispatching a small encoded batch (64 items) to the
-  persistent warm worker pool beats fork-per-batch dispatch by at least
-  ``ADAPTIVE_BENCH_RATIO_FLOOR`` (default 5x) -- the fork-and-teardown
-  tax dominates small batches, and the warm pool pays it once.
+* **Warm pool**: the steady-state dispatch time of a small encoded
+  batch (64 items) to the persistent warm worker pool is recorded, and
+  its results must be exact.
 * **O(delta) persistence**: a one-entity stream flush against the
   SQLite backend writes a small fraction of the full-relation payload
   (``storage.sqlite.bytes_written`` scales with the *changed* hash
@@ -33,11 +32,9 @@ from repro.storage import open_backend
 from repro.storage.backends.sqlite import STREAM_SHARDS
 from repro.stream import StreamEngine
 
-#: Items per encoded batch -- deliberately small: the regime where the
-#: fork tax dominates and the warm pool earns its keep.
+#: Items per encoded batch -- deliberately small: the regime where
+#: dispatch overhead, not the tasks, sets the time.
 BATCH_ITEMS = 64
-#: Required warm-over-fork dispatch speedup (relaxable on noisy CI).
-RATIO_FLOOR = float(os.environ.get("ADAPTIVE_BENCH_RATIO_FLOOR", "5"))
 #: Stream relation size for the dirty-shard byte measurements.
 N_STREAM_ENTITIES = int(os.environ.get("ADAPTIVE_BENCH_ENTITIES", "512"))
 
@@ -70,31 +67,19 @@ def _mix(common, item):
 
 
 @pytest.mark.skipif(not _has_fork(), reason="requires the fork start method")
-def test_warm_pool_beats_fork_per_batch(bench_record):
+def test_warm_pool_dispatch(bench_record):
     items = list(range(BATCH_ITEMS))
     expected = [_mix(7, item) for item in items]
-    warm = ProcessExecutor(workers=2, warm=True)
-    cold = ProcessExecutor(workers=2, warm=False)
+    warm = ProcessExecutor(workers=2)
     # Pay the one-time fork before measuring: steady-state dispatch is
     # the quantity the stream engine sees on every flush.
     assert warm.map_encoded(_mix, 7, items) == expected
     warm_elapsed, warm_result = _timed(
         lambda: warm.map_encoded(_mix, 7, items), repeats=5
     )
-    cold_elapsed, cold_result = _timed(
-        lambda: cold.map_encoded(_mix, 7, items), repeats=5
-    )
     assert warm_result == expected
-    assert cold_result == expected
-    ratio = cold_elapsed / warm_elapsed
-    print(
-        f"\nencoded batch of {BATCH_ITEMS}: warm {warm_elapsed * 1e3:.2f} ms, "
-        f"fork-per-batch {cold_elapsed * 1e3:.2f} ms ({ratio:.1f}x)"
-    )
+    print(f"\nencoded batch of {BATCH_ITEMS}: warm {warm_elapsed * 1e3:.2f} ms")
     bench_record("warm_dispatch_seconds", warm_elapsed)
-    bench_record("fork_dispatch_seconds", cold_elapsed)
-    bench_record("warm_vs_fork_speedup", ratio)
-    assert ratio >= RATIO_FLOOR
 
 
 def test_dirty_shard_flush_bytes_scale_with_the_delta(

@@ -178,12 +178,12 @@ def main() -> None:
     # each batch is priced from its entity count, sources per entity,
     # focal-set sizes and the live kernel-vs-fallback ratio, then routed
     # to the serial loop, the thread pool, or the process pool --
-    # whichever the estimate says finishes first.  Process batches with
-    # picklable payloads dispatch through a *warm* worker pool
-    # (repro.exec.warmpool, disable with REPRO_WARM_POOL=0): the fork is
-    # paid once and every later batch ships as compact pickled chunks,
-    # which is what makes process workers profitable on the small
-    # batches a stream engine flushes all day.  Routing is invisible in
+    # whichever the estimate says finishes first.  Process batches
+    # dispatch through a *warm* worker pool (repro.exec.warmpool): the
+    # fork is paid once and every later batch ships as compact pickled
+    # chunks, which is what makes process workers profitable on the
+    # small batches a stream engine flushes all day (a batch that does
+    # not pickle runs inline instead).  Routing is invisible in
     # the results -- auto is property-tested bit-for-bit against serial.
     from repro.exec import cost
 

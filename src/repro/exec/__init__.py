@@ -7,7 +7,7 @@ entity work into hash partitions and fans the partition tasks out over
 a pluggable worker pool:
 
 * :mod:`repro.exec.executors` -- the :class:`Executor` abstraction
-  (serial / thread-pool / fork process-pool / cost-model ``auto``), the
+  (serial / thread-pool / warm process-pool / cost-model ``auto``), the
   process-global configuration (:func:`configure`, ``REPRO_EXECUTOR`` /
   ``REPRO_WORKERS`` / ``REPRO_PARTITIONS``), and fan-out counters;
 * :mod:`repro.exec.cost` -- the adaptive cost model behind
@@ -15,8 +15,8 @@ a pluggable worker pool:
   source count x kernel-vs-fallback share, choosing partition count and
   executor kind per call site;
 * :mod:`repro.exec.warmpool` -- the persistent warm ``fork`` worker
-  pool (compact task encoding) behind
-  :meth:`Executor.map_encoded`, disabled via ``REPRO_WARM_POOL=0``;
+  pool (compact task encoding) behind the process executor's
+  :meth:`Executor.map_encoded`;
 * :mod:`repro.exec.remote` -- distributed shard-by-key execution:
   ``REPRO_EXECUTOR=remote`` scatters encoded batches to socket worker
   daemons (``REPRO_WORKERS_ADDRS``), gathers in exact serial order,

@@ -3,7 +3,10 @@
 The integration semantics of the paper are per-entity -- Dempster
 merges, selection revision, union/intersection all decompose over
 definite keys -- so the physical layer phrases its work as independent
-*partition tasks*.  An :class:`Executor` decides how those tasks run:
+*partition tasks*: a module-level function applied to plain data,
+submitted as one batch through :meth:`Executor.map_encoded` (``fn``,
+a batch-constant ``common``, and the per-partition items).  An
+:class:`Executor` decides how those tasks run:
 
 * :class:`SerialExecutor` (the default) runs tasks inline, in order.
   Results and pair order are bit-for-bit identical to the historical
@@ -12,13 +15,12 @@ definite keys -- so the physical layer phrases its work as independent
   work shares no mutable state, so the GIL-bound pool already overlaps
   the interpreter-released portions (hashing, allocation) and keeps
   results exact.
-* :class:`ProcessExecutor` fans tasks out over a ``fork`` process pool.
-  Tasks are *not* pickled -- the payload is published in a module global
-  and inherited by the forked children, so closures over plans,
-  predicates and thresholds work unchanged; only results cross the pipe
-  (every model object pickles: mass functions re-enter through their
-  constructor, see :meth:`repro.ds.mass.MassFunction.__reduce__`).
-  Platforms without ``fork`` fall back to inline execution.
+* :class:`ProcessExecutor` ships batches to the persistent warm
+  ``fork`` pool (:mod:`repro.exec.warmpool`): ``common`` is pickled once
+  per chunk and results pickle back (every model object pickles: mass
+  functions re-enter through their constructor, see
+  :meth:`repro.ds.mass.MassFunction.__reduce__`).  A batch that does
+  not pickle, a lost pool, or a platform without ``fork`` runs inline.
 
 The active executor is process-global, chosen via :func:`configure` or
 the ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` / ``REPRO_PARTITIONS``
@@ -34,9 +36,6 @@ would deadlock a bounded pool.
 kernel-vs-fallback path, fed by the live telemetry counters) and routes
 it to the serial loop, the thread pool, or the warm process pool
 (:mod:`repro.exec.warmpool`), picking the partition count to match.
-Picklable batches submitted through :meth:`Executor.map_encoded` reach
-process workers over the persistent warm pool instead of forking per
-batch (disable with ``REPRO_WARM_POOL=0``).
 
 Whatever the executor and partition count, every partition-aware code
 path reassembles results so they *equal the serial result exactly* --
@@ -69,9 +68,10 @@ EXECUTOR_KINDS = ("serial", "thread", "process", "auto", "remote")
 class ExecStats:
     """A point-in-time snapshot of physical fan-out activity.
 
-    ``parallel_batches`` counts :meth:`Executor.map` calls that fanned
-    out to a pool; ``inline_batches`` those that ran inline (serial
-    executor, single task, or nested inside another task); ``tasks``
+    ``parallel_batches`` counts batches that fanned out to a pool;
+    ``inline_batches`` those that ran inline (serial executor, single
+    task, nested inside another task, or unpicklable for the process
+    pool); ``tasks``
     the partition tasks executed through fan-out.  The live counters
     are :data:`STATS` (a :class:`LiveExecStats`).
     """
@@ -186,6 +186,17 @@ def _inside_task():
 # -- executors ----------------------------------------------------------------
 
 
+def _apply_task(task, item):
+    """Module-level trampoline: lets :meth:`Executor.map` ship *task*
+    through :meth:`Executor.map_encoded` (``common`` is the task)."""
+    return task(item)
+
+
+def _run_inline(fn, common, items: list) -> list:
+    STATS.bump("inline_batches")
+    return [fn(common, item) for item in items]
+
+
 class Executor(ABC):
     """Runs a batch of independent partition tasks, preserving order."""
 
@@ -199,42 +210,35 @@ class Executor(ABC):
     def map(self, task, items) -> list:
         """``[task(item) for item in items]``, possibly in parallel.
 
-        Results come back in item order; the first task exception
-        propagates.  Batches of one task, and batches issued from inside
-        another task (nested fan-out), always run inline.
+        A convenience over :meth:`map_encoded` with *task* as the
+        batch's ``common``: a task that pickles (a module-level
+        callable, a partial of one) may leave the process, any other
+        runs inline.
         """
-        items = list(items)
-        if len(items) <= 1 or self.workers <= 1 or _task_depth() > 0:
-            STATS.bump("inline_batches")
-            return [task(item) for item in items]
-        STATS.bump("parallel_batches")
-        STATS.bump("tasks", len(items))
-        with tracing.span("exec.map", kind=self.kind, tasks=len(items)):
-            return self._map(task, items)
-
-    @abstractmethod
-    def _map(self, task, items: list) -> list:
-        """Fan a multi-task batch out (pool executors override)."""
+        return self.map_encoded(_apply_task, task, items)
 
     def map_encoded(self, fn, common, items) -> list:
         """``[fn(common, item) for item in items]``, possibly in parallel.
 
-        The encoded variant of :meth:`map` for *picklable* work: *fn*
-        must be a module-level callable and ``common``/*items* must
-        pickle.  Executors with persistent workers (the process
-        executor's warm pool, :mod:`repro.exec.warmpool`) ship the
-        batch as compact pickled payloads -- ``common`` crosses the
-        pipe once per chunk, not once per item -- instead of forking;
-        in-process executors simply close over ``common``.  Same
-        contract as :meth:`map`: results in item order, first exception
-        propagates.
+        The one batch contract.  *fn* should be a module-level callable
+        and ``common``/*items* plain picklable data: executors with
+        out-of-process workers (the process executor's warm pool,
+        :mod:`repro.exec.warmpool`) ship ``common`` once per chunk, not
+        once per item, and run a batch that does not pickle inline.
+        Results come back in item order; the first task exception
+        propagates.  Batches of one item, batches on one worker, and
+        batches issued from inside another task (nested fan-out) always
+        run inline.
         """
         items = list(items)
+        if len(items) <= 1 or self.workers <= 1 or _task_depth() > 0:
+            return _run_inline(fn, common, items)
+        with tracing.span("exec.map", kind=self.kind, tasks=len(items)):
+            return self._map_encoded(fn, common, items)
 
-        def task(item):
-            return fn(common, item)
-
-        return self.map(task, items)
+    @abstractmethod
+    def _map_encoded(self, fn, common, items: list) -> list:
+        """Fan a multi-item batch out (pool executors override)."""
 
     def close(self) -> None:
         """Release pool resources (no-op for poolless executors)."""
@@ -251,8 +255,8 @@ class SerialExecutor(Executor):
     def __init__(self):
         super().__init__(workers=1)
 
-    def _map(self, task, items):  # pragma: no cover -- map() short-circuits
-        return [task(item) for item in items]
+    def _map_encoded(self, fn, common, items):  # pragma: no cover -- one worker
+        return _run_inline(fn, common, items)
 
 
 class ThreadExecutor(Executor):
@@ -277,12 +281,13 @@ class ThreadExecutor(Executor):
                     )
         return self._pool
 
-    def _map(self, task, items):
+    def _map_encoded(self, fn, common, items):
         pool = self._ensure_pool()
+        note_parallel_batch(len(items))
 
         def run(item):
             with _inside_task():
-                return task(item)
+                return fn(common, item)
 
         return list(pool.map(run, items))
 
@@ -292,102 +297,26 @@ class ThreadExecutor(Executor):
             self._pool = None
 
 
-#: Payload for forked children: set immediately before the fork, so the
-#: children inherit it by memory copy and the pipe carries only indices.
-#: Guarded by :data:`_FORK_LOCK` -- the payload is process-global, so
-#: concurrent process-pool batches from different driver threads must
-#: serialize (one would otherwise fork the other's tasks).
-_FORK_PAYLOAD = None
-_FORK_LOCK = threading.Lock()
-
-
-def _fork_invoke(index: int):
-    task, items = _FORK_PAYLOAD
-    with _inside_task():
-        if not tracing.enabled():
-            return task(items[index]), None
-        # Ship the worker's spans back with the result (the same pattern
-        # the stream engine uses for kernel stats): the child captures,
-        # the parent ingests, and the trace reads as one tree.
-        with tracing.capture() as spans:
-            result = task(items[index])
-        return result, spans
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
 class ProcessExecutor(Executor):
-    """A process pool: warm persistent workers, forking as the fallback.
+    """The persistent warm process pool (:mod:`repro.exec.warmpool`).
 
-    :meth:`map` batches carry arbitrary closures, so they fork a pool
-    per batch *after* publishing the payload in :data:`_FORK_PAYLOAD` --
-    forked workers inherit tasks through memory rather than pickling
-    (plans and thresholds hold closures and cannot cross a pipe); only
-    task *results* are pickled back.  :meth:`map_encoded` batches are
-    picklable by contract, so they dispatch to the persistent warm pool
-    (:mod:`repro.exec.warmpool`) instead -- the fork tax is paid once,
-    making process workers profitable on small stream batches.  *warm*
-    defaults to the ``REPRO_WARM_POOL`` flag (on); payloads that turn
-    out not to pickle fall back to the fork path transparently.  Where
-    the ``fork`` start method is unavailable batches run inline.
+    Batches ship as pickled payloads to workers forked once and reused
+    across batches.  A batch whose payload does not pickle (a closure,
+    an open handle), a lost pool, or a platform without the ``fork``
+    start method runs the batch inline instead -- with the same
+    results.
     """
 
     kind = "process"
 
-    def __init__(self, workers: int, warm: bool | None = None):
-        super().__init__(workers)
-        self.warm = (
-            _env_flag("REPRO_WARM_POOL", default=True) if warm is None else warm
-        )
-
-    def map_encoded(self, fn, common, items) -> list:
-        items = list(items)
-        if (
-            not self.warm
-            or len(items) <= 1
-            or self.workers <= 1
-            or _task_depth() > 0
-        ):
-            return super().map_encoded(fn, common, items)
+    def _map_encoded(self, fn, common, items):
         from repro.exec import warmpool
 
         pool = warmpool.get_pool(self.workers)
-        if pool is None:
-            return super().map_encoded(fn, common, items)
-        results = pool.submit_batch(fn, common, items)
-        if results is None:  # unpicklable payload: inherit-by-fork path
-            return super().map_encoded(fn, common, items)
-        STATS.bump("parallel_batches")
-        STATS.bump("tasks", len(items))
-        return results
-
-    def _map(self, task, items):
-        global _FORK_PAYLOAD
-        try:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-        except (ImportError, ValueError):
-            return [task(item) for item in items]
-        with _FORK_LOCK:
-            _FORK_PAYLOAD = (task, items)
-            try:
-                with context.Pool(
-                    processes=min(self.workers, len(items))
-                ) as pool:
-                    pairs = pool.map(_fork_invoke, range(len(items)))
-            finally:
-                _FORK_PAYLOAD = None
-        results = []
-        for result, spans in pairs:
-            if spans:
-                tracing.ingest(spans)
-            results.append(result)
+        results = None if pool is None else pool.submit_batch(fn, common, items)
+        if results is None:
+            return _run_inline(fn, common, items)
+        note_parallel_batch(len(items))
         return results
 
 
@@ -417,30 +346,13 @@ class AdaptiveExecutor(Executor):
             "process": ProcessExecutor(workers),
         }
 
-    def _delegate(self, n_items: int) -> Executor:
+    def _map_encoded(self, fn, common, items):
         from repro.exec import cost as _cost
 
         decision = _cost.consume()
-        if decision is None or n_items > decision.partitions:
-            decision = _cost.decide_for(n_items, self.workers)
-        return self._inner[decision.kind]
-
-    def map(self, task, items) -> list:
-        items = list(items)
-        if len(items) <= 1 or _task_depth() > 0:
-            STATS.bump("inline_batches")
-            return [task(item) for item in items]
-        return self._delegate(len(items)).map(task, items)
-
-    def map_encoded(self, fn, common, items) -> list:
-        items = list(items)
-        if len(items) <= 1 or _task_depth() > 0:
-            STATS.bump("inline_batches")
-            return [fn(common, item) for item in items]
-        return self._delegate(len(items)).map_encoded(fn, common, items)
-
-    def _map(self, task, items):  # pragma: no cover -- map() delegates
-        return [task(item) for item in items]
+        if decision is None or len(items) > decision.partitions:
+            decision = _cost.decide_for(len(items), self.workers)
+        return self._inner[decision.kind].map_encoded(fn, common, items)
 
     def close(self) -> None:
         for executor in self._inner.values():
@@ -514,9 +426,14 @@ def _config_from_env() -> ExecConfig:
             f"REPRO_EXECUTOR must be one of {EXECUTOR_KINDS}, got {kind!r}"
         )
     workers = _env_int("REPRO_WORKERS")
-    if workers is None or workers <= 0:
-        workers = _default_workers(kind)
-    return ExecConfig(kind, workers, _env_int("REPRO_PARTITIONS"))
+    if workers is not None and workers < 0:
+        raise ConfigError(
+            f"REPRO_WORKERS must be >= 0 (0 means the default), got {workers}"
+        )
+    partitions = _env_int("REPRO_PARTITIONS")
+    if partitions is not None and partitions < 1:
+        raise ConfigError(f"REPRO_PARTITIONS must be >= 1, got {partitions}")
+    return ExecConfig(kind, workers or _default_workers(kind), partitions)
 
 
 #: Resolved lazily on first use, not at import: a malformed REPRO_*

@@ -51,6 +51,17 @@ from repro.query.plans import (
 )
 
 
+def _apply_part(common, part) -> ExtendedRelation:
+    """Evaluate one node on one shard (module-level: pickles by reference).
+
+    *common* is ``(plan, right)``: the node, and the broadcast right
+    input of a product (``None`` for the tuple-wise operators).  None of
+    these nodes reads the database, so none ships.
+    """
+    plan, right = common
+    return plan.apply((part,) if right is None else (part, right), None)
+
+
 class PhysicalOperator:
     """A physical counterpart of one logical node (plus lowered children)."""
 
@@ -134,9 +145,8 @@ class _TupleWise(PhysicalOperator):
         n = partition_count(len(relation))
         if n <= 1:
             return self.plan.apply(inputs, database)
-        plan = self.plan
-        results = get_executor().map(
-            lambda part: plan.apply((part,), database), relation.partitions(n)
+        results = get_executor().map_encoded(
+            _apply_part, (self.plan, None), relation.partitions(n)
         )
         merged: dict[tuple, object] = {}
         for part_result in results:
@@ -192,9 +202,8 @@ class PhysicalProduct(PhysicalOperator):
         n = partition_count(len(left))
         if n <= 1 or len(right) == 0:
             return self.plan.apply(inputs, database)
-        plan = self.plan
-        results = get_executor().map(
-            lambda part: plan.apply((part, right), database), left.partitions(n)
+        results = get_executor().map_encoded(
+            _apply_part, (self.plan, right), left.partitions(n)
         )
         merged: dict[tuple, object] = {}
         for part_result in results:

@@ -394,12 +394,6 @@ def _workers_from_env() -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _apply_task(task, item):
-    """Module-level trampoline: lets :meth:`Executor.map` ship a
-    picklable *task* through the encoded path (``common`` is the task)."""
-    return task(item)
-
-
 class RemoteExecutor(Executor):
     """Scatter/gather execution across socket worker daemons.
 
@@ -461,24 +455,19 @@ class RemoteExecutor(Executor):
 
     # -- the Executor contract -------------------------------------------------
 
-    def map(self, task, items) -> list:
-        items = list(items)
-        if len(items) <= 1 or _task_depth() > 0:
-            note_inline_batch()
-            return [task(item) for item in items]
-        # Arbitrary tasks reach the wire through the trampoline when
-        # they pickle (module-level callables); closures fall back to
-        # the local executor, exactly like the warm pool's contract.
-        return self.map_encoded(_apply_task, task, items)
-
-    def _map(self, task, items):  # pragma: no cover -- map() routes itself
-        return [task(item) for item in items]
+    # The base method, bound in this class's own namespace as well so
+    # the layer profiler (perfbench/layers.py) can wrap it per owner.
+    map = Executor.map
 
     def map_encoded(self, fn, common, items) -> list:
+        # Unlike the base, a one-worker cluster still scatters.
         items = list(items)
         if len(items) <= 1 or _task_depth() > 0:
             note_inline_batch()
             return [fn(common, item) for item in items]
+        return self._map_encoded(fn, common, items)
+
+    def _map_encoded(self, fn, common, items):
         results = self.submit_batch(fn, common, items)
         if results is None:
             _FALLBACKS.inc()

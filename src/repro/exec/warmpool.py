@@ -1,12 +1,10 @@
 """A persistent warm ``fork`` worker pool with compact task encoding.
 
-The historical :class:`~repro.exec.executors.ProcessExecutor` forks a
-fresh pool *per batch* so closures cross into workers by memory
-inheritance -- correct for arbitrary tasks, but the fork-and-teardown
-tax (tens of milliseconds) swamps small batches, which is exactly what
-a stream engine flushes all day.  This module keeps one pool of
-already-forked workers alive across batches and ships work to them as
-**compact encoded payloads** instead:
+The pool behind :class:`~repro.exec.executors.ProcessExecutor`.  Forking
+and tearing down a pool costs tens of milliseconds, which would swamp
+the small batches a stream engine flushes all day, so this module keeps
+one pool of already-forked workers alive across batches and ships work
+to them as **compact encoded payloads**:
 
 * the task function must be a module-level callable (it pickles by
   reference -- workers forked from this process already have the module
@@ -18,7 +16,7 @@ already-forked workers alive across batches and ships work to them as
 
 Payloads that cannot pickle (closures, open handles) are detected *in
 the driver* before anything is dispatched: :meth:`WarmPool.submit_batch`
-returns ``None`` and the caller falls back to the inherit-by-fork path.
+returns ``None`` and the caller runs the batch inline.
 The pool is process-global and deliberately survives
 ``executor_scope`` / ``Executor.close`` -- staying warm across scopes
 is the point -- and is reaped at interpreter exit.  Dispatch activity
@@ -53,21 +51,25 @@ _SPAWNS = _METRICS.counter(
 )
 _FALLBACKS = _METRICS.counter(
     "exec.warmpool.fallbacks",
-    "batches that could not pickle and fell back to fork-per-batch",
+    "batches that could not pickle (or lost the pool) and ran inline",
 )
 _DISPATCH_SECONDS = _METRICS.histogram(
     "exec.warmpool.dispatch_seconds", "warm-pool batch dispatch latency"
 )
 
 
-def _invoke_chunk(common_blob: bytes, chunk_blob: bytes):
-    """Worker-side entry: decode one chunk and run its items in order."""
+def _invoke_chunk(common_blob: bytes, chunk_blob: bytes, trace: bool):
+    """Worker-side entry: decode one chunk and run its items in order.
+
+    *trace* is the driver's tracing flag at dispatch time: the worker's
+    own copy dates from the fork and may be stale.
+    """
     from repro.exec.executors import _inside_task
 
     fn, common = pickle.loads(common_blob)
     chunk = pickle.loads(chunk_blob)
-    with _inside_task():
-        if not tracing.enabled():
+    with _inside_task(), tracing.tracing_scope(trace):
+        if not trace:
             return [fn(common, item) for item in chunk], None
         with tracing.capture() as spans:
             results = [fn(common, item) for item in chunk]
@@ -96,10 +98,12 @@ class WarmPool:
         """Run ``[fn(common, item) for item in items]`` on warm workers.
 
         Returns results in item order, or ``None`` when the payload
-        cannot cross the pipe (the caller falls back to forking).  The
-        first task exception propagates.  Concurrent driver threads
-        serialize on the pool, mirroring the fork-per-batch lock.
+        cannot cross the pipe or the pool is lost (the caller runs the
+        batch inline).  The first task exception propagates.
+        Concurrent driver threads serialize on the pool.
         """
+        if not items:
+            return []
         try:
             common_blob = pickle.dumps(
                 (fn, common), protocol=pickle.HIGHEST_PROTOCOL
@@ -118,15 +122,18 @@ class WarmPool:
         ):
             with self._lock:
                 pool = self._ensure_pool()
+                trace = tracing.enabled()
                 try:
                     handles = [
-                        pool.apply_async(_invoke_chunk, (common_blob, blob))
+                        pool.apply_async(
+                            _invoke_chunk, (common_blob, blob, trace)
+                        )
                         for blob in chunk_blobs
                     ]
                     outcomes = [handle.get() for handle in handles]
                 except OSError:
                     # A dead worker poisons the whole pool: drop it (the
-                    # next batch re-forks) and let the caller fall back.
+                    # next batch re-forks) and let the caller run inline.
                     self._close_pool()
                     _FALLBACKS.inc()
                     return None

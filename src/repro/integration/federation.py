@@ -125,6 +125,35 @@ def _integrate_shard(common, row):
     return (relation, steps), survivors, None
 
 
+def _merge_entity(common, item):
+    """Merge one entity's per-source tuples (a point query's task).
+
+    *common* is ``(merger, name, metas)`` where ``metas`` pairs each
+    source's schema with its reliability; *item* is ``(key, tuples)``
+    with that source-aligned tuple (or ``None``) per source.  Returns
+    the merged tuple, or ``None`` when no source supports the entity.
+    """
+    merger, name, metas = common
+    key, etuples = item
+    accumulated = None
+    for (schema, reliability), etuple in zip(metas, etuples):
+        if etuple is None:
+            continue
+        fragment = ExtendedRelation(schema, [etuple])
+        if reliability != 1:
+            fragment = _discount_relation(fragment, reliability)
+        if accumulated is None:
+            accumulated = fragment
+        else:
+            accumulated, _ = merger.merge(accumulated, fragment, name=name)
+    return None if accumulated is None else accumulated.get(key)
+
+
+def _merge_entity_chunk(common, chunk):
+    """:func:`_merge_entity` over one contiguous chunk of a key batch."""
+    return [_merge_entity(common, item) for item in chunk]
+
+
 def _serial_fold_order(
     source_orders: list[list[tuple]], dropped_per_step: list[set]
 ) -> list[tuple]:
@@ -269,45 +298,32 @@ class Federation:
             tuple((source.name, source.reliability) for source in sources),
         )
         executor = get_executor()
-        if executor.kind == "remote":
-            # The encoded path: shard rows and the (merger, name, metas)
-            # header are picklable by construction, so the fold can
-            # scatter across worker daemons; in-process executors keep
-            # the closure path below (nothing to pickle).
-            keyed = getattr(executor, "map_encoded_keyed", None)
-            publish = getattr(executor, "publish_relation", None)
-            source_names = [source.relation.name for source in sources]
-            if (
-                keyed is not None
-                and publish is not None
-                and len(set(source_names)) == len(source_names)
-            ):
-                # Shard-resident workers can rebuild each shard row from
-                # entity keys alone, so publish the source relations and
-                # scatter key lists; the executor transparently ships
-                # tuples instead whenever locality cannot serve the
-                # batch.  Duplicate source relation names would alias in
-                # the per-name shard stores, so they keep tuple shipping.
-                for source in sources:
-                    publish(source.relation)
-                specs = [
-                    tuple(
-                        (source_names[j], tuple(row[j].keys()))
-                        for j in range(len(sources))
-                    )
-                    for row in shard_rows
-                ]
-                outcomes = keyed(_integrate_shard, common, specs, shard_rows)
-            else:
-                outcomes = executor.map_encoded(
-                    _integrate_shard, common, shard_rows
+        keyed = getattr(executor, "map_encoded_keyed", None)
+        publish = getattr(executor, "publish_relation", None)
+        source_names = [source.relation.name for source in sources]
+        if (
+            keyed is not None
+            and publish is not None
+            and len(set(source_names)) == len(source_names)
+        ):
+            # Shard-resident workers can rebuild each shard row from
+            # entity keys alone, so publish the source relations and
+            # scatter key lists; the executor transparently ships
+            # tuples instead whenever locality cannot serve the batch.
+            # Duplicate source relation names would alias in the
+            # per-name shard stores, so they keep tuple shipping.
+            for source in sources:
+                publish(source.relation)
+            specs = [
+                tuple(
+                    (source_names[j], tuple(row[j].keys()))
+                    for j in range(len(sources))
                 )
+                for row in shard_rows
+            ]
+            outcomes = keyed(_integrate_shard, common, specs, shard_rows)
         else:
-
-            def shard_task(row):
-                return _integrate_shard(common, row)
-
-            outcomes = executor.map(shard_task, shard_rows)
+            outcomes = executor.map_encoded(_integrate_shard, common, shard_rows)
         if any(error is not None for _, _, error in outcomes):
             # A raise-policy conflict aborts the integration anyway, so
             # re-run the serial fold to surface the exact error the
@@ -382,21 +398,22 @@ class Federation:
             raise IntegrationError("a federation needs at least one source")
         if not isinstance(key, tuple):
             key = (key,)
-        relevant: list[ExtendedRelation] = []
-        for source in self._sources:
-            etuple = source.relation.get(key)
-            if etuple is None:
-                continue
-            fragment = ExtendedRelation(source.relation.schema, [etuple])
-            if source.reliability != 1:
-                fragment = _discount_relation(fragment, source.reliability)
-            relevant.append(fragment)
-        if not relevant:
-            return None
-        accumulated = relevant[0]
-        for fragment in relevant[1:]:
-            accumulated, _ = self._merger.merge(accumulated, fragment, name=name)
-        return accumulated.get(key)
+        return _merge_entity(self._entity_common(name), self._entity_item(key))
+
+    def _entity_common(self, name: str) -> tuple:
+        """The batch constant of :func:`_merge_entity` for this federation."""
+        return (
+            self._merger,
+            name,
+            tuple(
+                (source.relation.schema, source.reliability)
+                for source in self._sources
+            ),
+        )
+
+    def _entity_item(self, key: tuple) -> tuple:
+        """``(key, tuples)``: the entity's tuple (or ``None``) per source."""
+        return key, tuple(source.relation.get(key) for source in self._sources)
 
     def integrate_entities(
         self, keys, name: str = "federated"
@@ -420,15 +437,14 @@ class Federation:
             n = partition_count(len(keys))
             if n <= 1:
                 return [self.integrate_entity(key, name=name) for key in keys]
-            size, extra = divmod(len(keys), n)
+            items = [self._entity_item(key) for key in keys]
+            size, extra = divmod(len(items), n)
             chunks, start = [], 0
             for index in range(n):
                 stop = start + size + (1 if index < extra else 0)
-                chunks.append(keys[start:stop])
+                chunks.append(items[start:stop])
                 start = stop
-
-            def task(chunk):
-                return [self.integrate_entity(key, name=name) for key in chunk]
-
-            results = get_executor().map(task, chunks)
+            results = get_executor().map_encoded(
+                _merge_entity_chunk, self._entity_common(name), chunks
+            )
         return [etuple for chunk_results in results for etuple in chunk_results]

@@ -21,7 +21,7 @@ name                                    kind       meaning
 kernel.kernel_combinations              counter    Dempster combinations on the bitmask kernel path
 kernel.fallback_combinations            counter    combinations on the symbolic frozenset fallback
 kernel.compilations                     counter    mass functions compiled to kernel form
-exec.parallel_batches                   counter    Executor.map batches fanned out to workers
+exec.parallel_batches                   counter    batches fanned out to workers
 exec.inline_batches                     counter    batches run inline (serial / nested / too small)
 exec.tasks                              counter    individual partition tasks dispatched
 exec.auto.serial_decisions              counter    auto-mode batches the cost model kept serial
@@ -30,7 +30,7 @@ exec.auto.process_decisions             counter    auto-mode batches routed to t
 exec.warmpool.dispatches                counter    batches dispatched to the warm worker pool
 exec.warmpool.tasks                     counter    items shipped to warm workers
 exec.warmpool.spawns                    counter    warm pool (re)creations -- forks actually paid
-exec.warmpool.fallbacks                 counter    unpicklable batches sent back to fork-per-batch
+exec.warmpool.fallbacks                 counter    unpicklable (or pool-lost) batches that ran inline
 exec.warmpool.dispatch_seconds          histogram  warm-pool batch dispatch latency
 exec.remote.batches                     counter    batches scattered to remote workers
 exec.remote.tasks                       counter    items shipped to remote workers

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.errors import PlanError
+from repro.errors import OperationError, PlanError
 from repro.model.evidence import EvidenceSet
 from repro.model.schema import RelationSchema
 from repro.algebra.predicates import (
@@ -31,7 +31,7 @@ from repro.algebra.predicates import (
     Predicate,
     ThetaPredicate,
 )
-from repro.algebra.thresholds import SN_POSITIVE, MembershipThreshold
+from repro.algebra.thresholds import SN_POSITIVE, MembershipThreshold, threshold
 from repro.query import ast
 from repro.query.parser import parse
 from repro.query.plans import (
@@ -101,33 +101,15 @@ def _bind_condition(node, schema: RelationSchema) -> Predicate:
     raise PlanError(f"cannot bind condition {node!r}")
 
 
-_THRESHOLD_CHECKS = {
-    ("sn", ">"): lambda bound: lambda tm: tm.sn > bound,
-    ("sn", ">="): lambda bound: lambda tm: tm.sn >= bound,
-    ("sn", "="): lambda bound: lambda tm: tm.sn == bound,
-    ("sn", "<"): lambda bound: lambda tm: tm.sn < bound,
-    ("sn", "<="): lambda bound: lambda tm: tm.sn <= bound,
-    ("sp", ">"): lambda bound: lambda tm: tm.sp > bound,
-    ("sp", ">="): lambda bound: lambda tm: tm.sp >= bound,
-    ("sp", "="): lambda bound: lambda tm: tm.sp == bound,
-    ("sp", "<"): lambda bound: lambda tm: tm.sp < bound,
-    ("sp", "<="): lambda bound: lambda tm: tm.sp <= bound,
-}
-
-
 def _bind_thresholds(terms: tuple[ast.ThresholdTerm, ...]) -> MembershipThreshold:
-    threshold = SN_POSITIVE
+    result = SN_POSITIVE
     for term in terms:
         try:
-            make_check = _THRESHOLD_CHECKS[(term.field, term.op)]
-        except KeyError:
-            raise PlanError(
-                f"unsupported threshold {term.field} {term.op}"
-            ) from None
-        threshold = threshold & MembershipThreshold(
-            make_check(term.bound), f"{term.field} {term.op} {term.bound}"
-        )
-    return threshold
+            check = threshold(term.field, term.op, term.bound)
+        except OperationError as exc:
+            raise PlanError(str(exc)) from None
+        result = result & check
+    return result
 
 
 def _bind_source(node, database) -> Plan:

@@ -138,16 +138,15 @@ _metrics_registry().gauge(
 def _refold_bucket(common, bucket):
     """Re-fold one shipped partition of ``(key, parts)`` pairs.
 
-    Module-level so the warm pool (:mod:`repro.exec.warmpool`) can
-    pickle it by reference; ``common`` is the batch-constant
-    ``(merger, schema, order)`` triple (``order`` rides along for
-    symmetry with the in-process task, though the parts were already
-    selected in order by the driver).  Mirrors
-    :meth:`repro.stream.state.EntityState.refold` exactly -- same
-    empty/conflict semantics, same combination count -- but operates on
-    the shipped parts, so the state graph never crosses the pipe.
+    Module-level so out-of-process workers can unpickle it by
+    reference; ``common`` is the batch-constant ``(merger, schema)``
+    pair (the driver already selected each entity's parts in source
+    order).  Mirrors :meth:`repro.stream.state.EntityState.refold`
+    exactly -- same empty/conflict semantics, same combination count --
+    but operates on the shipped parts, so the state graph never crosses
+    a process boundary.
     """
-    merger, schema, _order = common
+    merger, schema = common
     baseline = KERNEL_STATS.snapshot()
     combinations = 0
     states = []
@@ -823,15 +822,14 @@ class StreamEngine:
     def _refold_partitioned(self, dirty, order, n: int) -> None:
         """Drain the pending re-folds as per-partition merge batches.
 
-        Thread tasks re-fold the (disjoint) entities in place; process
-        tasks re-fold forked copies and ship the resulting state back,
-        which the parent commits.  Either way each entity's fold is the
-        identical ``merge_entity`` computation the serial path runs, so
-        the committed states are exact.  Kernel-vs-fallback attribution:
-        in-process executors are measured around the whole batch (the
-        engine is single-driver, so the process-wide delta is exactly
-        this batch); process pools measure inside each child and the
-        deltas are summed.
+        Every task re-folds its entities' shipped parts and returns the
+        resulting states, which the driver commits.  Each entity's fold
+        is the identical ``merge_entity`` computation the serial path
+        runs, so the committed states are exact.  Kernel-vs-fallback
+        attribution: in-process executors are measured around the whole
+        batch (the engine is single-driver, so the process-wide delta
+        is exactly this batch); out-of-process workers measure inside
+        each task and the deltas are summed.
 
         A ``raise``-policy :class:`TotalConflictError` is re-raised
         after the successfully re-folded entities' state and counters
@@ -842,59 +840,23 @@ class StreamEngine:
         threads inside the evidence kernel may undercount slightly --
         the counters are observability-only.)
         """
-        executor = get_executor()
         buckets: list[list] = [[] for _ in range(n)]
         for entity in dirty:
             buckets[partition_index(entity.key, n)].append(entity)
         buckets = [bucket for bucket in buckets if bucket]
-        merger, schema = self._merger, self._schema
-
         batch_baseline = KERNEL_STATS.snapshot()
-        if executor.kind in ("process", "auto", "remote"):
-            # Compact task encoding for the warm pool: ship each
-            # entity's surviving parts rather than the EntityState
-            # graph, with the merger/schema/order pickled once for the
-            # whole batch.  Each outcome tags the worker pid so kernel
-            # attribution below can tell child work from inline work.
-            payloads = [
-                [(entity.key, entity.parts(order)) for entity in bucket]
-                for bucket in buckets
-            ]
-            outcomes = executor.map_encoded(
-                _refold_bucket, (merger, schema, order), payloads
-            )
-        else:
-
-            def task(bucket):
-                baseline = KERNEL_STATS.snapshot()
-                combinations = 0
-                states = []
-                error = None
-                for entity in bucket:
-                    try:
-                        combinations += entity.refold(merger, schema, order)
-                    except TotalConflictError as exc:
-                        error = exc
-                        break
-                    states.append(
-                        (
-                            entity.key,
-                            entity.combined,
-                            entity.conflicted,
-                            list(entity.fold_conflicts),
-                        )
-                    )
-                delta = KERNEL_STATS.since(baseline)
-                return (
-                    states,
-                    combinations,
-                    delta.kernel_combinations,
-                    delta.fallback_combinations,
-                    error,
-                    os.getpid(),
-                )
-
-            outcomes = executor.map(task, buckets)
+        # Ship each entity's surviving parts rather than the EntityState
+        # graph, with the merger and schema sent once for the whole
+        # batch; the states come back and are committed below.  Each
+        # outcome tags the worker pid so kernel attribution can tell
+        # child work from in-process work.
+        payloads = [
+            [(entity.key, entity.parts(order)) for entity in bucket]
+            for bucket in buckets
+        ]
+        outcomes = get_executor().map_encoded(
+            _refold_bucket, (self._merger, self._schema), payloads
+        )
         errors = []
         own_pid = os.getpid()
         from_children = False

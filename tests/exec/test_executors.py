@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.errors import ExecutionError, RelationError
+from repro.errors import ConfigError, ExecutionError, RelationError
 from repro.exec import (
     EXECUTOR_KINDS,
     ProcessExecutor,
@@ -21,7 +21,7 @@ from repro.exec import (
     partition_count,
     partition_index,
 )
-from repro.exec.executors import _inside_task
+from repro.exec.executors import _config_from_env, _inside_task
 from repro.exec.rewrite import default_pipeline
 from repro.datasets.restaurants import table_ra
 from repro.model.relation import ExtendedRelation
@@ -110,6 +110,26 @@ class TestConfiguration:
             cwd="/root/repo",
         )
         assert "clean error: REPRO_WORKERS must be an integer" in result.stdout
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_PARTITIONS", "-3"),
+            ("REPRO_PARTITIONS", "0"),
+            ("REPRO_WORKERS", "-2"),
+        ],
+    )
+    def test_out_of_range_env_values_raise(self, monkeypatch, name, value):
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ConfigError, match=name):
+            _config_from_env()
+
+    def test_zero_workers_env_means_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        monkeypatch.delenv("REPRO_PARTITIONS", raising=False)
+        assert _config_from_env().workers == (os.cpu_count() or 1)
 
     def test_all_kinds_are_constructible(self):
         for kind in EXECUTOR_KINDS:

@@ -2,9 +2,10 @@
 
 The equivalence suite already proves warm-pool results are bit-for-bit
 serial; these tests pin the *mechanics*: one fork paid across many
-batches, unpicklable payloads declined before dispatch, exceptions
-propagated, order preserved, and the process-global registry handing
-out one pool per worker count.
+batches, unpicklable payloads declined before dispatch (the process
+executor then runs the batch inline), exceptions propagated, order
+preserved, and the process-global registry handing out one pool per
+worker count.
 """
 
 import multiprocessing
@@ -14,7 +15,7 @@ import pytest
 
 from repro.exec import warmpool
 from repro.exec.executors import ProcessExecutor, executor_scope, get_executor
-from repro.obs import registry
+from repro.obs import registry, tracing
 
 
 def _has_fork() -> bool:
@@ -43,6 +44,11 @@ def _whoami(common, item):
 
 def _explode(common, item):
     raise ValueError(f"boom on {item!r}")
+
+
+def _spanned(common, item):
+    with tracing.span("test.warm_task", item=item):
+        return item
 
 
 @pytest.fixture()
@@ -77,11 +83,30 @@ class TestWarmPool:
         assert fallbacks.value == before + 1
         assert "cold" in repr(pool)
 
+    def test_empty_batch_returns_no_results(self, pool):
+        fallbacks = registry().counter("exec.warmpool.fallbacks")
+        dispatches = registry().counter("exec.warmpool.dispatches")
+        before = fallbacks.value, dispatches.value
+        assert pool.submit_batch(_scale, 2, []) == []
+        assert (fallbacks.value, dispatches.value) == before
+        assert "cold" in repr(pool)
+
     def test_task_exception_propagates(self, pool):
         with pytest.raises(ValueError, match="boom"):
             pool.submit_batch(_explode, None, [1, 2, 3])
         # The pool survives a task exception and keeps serving.
         assert pool.submit_batch(_scale, 1, [5]) == [5]
+
+    def test_tracing_follows_the_driver_not_the_fork(self, pool):
+        # Fork the workers with tracing off, then turn it on: the
+        # workers' own flag is stale, the driver's must decide.
+        with tracing.tracing_scope(False):
+            assert pool.submit_batch(_spanned, None, [1, 2]) == [1, 2]
+        tracing.take_records()
+        with tracing.tracing_scope(True):
+            assert pool.submit_batch(_spanned, None, [1, 2, 3]) == [1, 2, 3]
+            names = [record.name for record in tracing.take_records()]
+        assert names.count("test.warm_task") == 3
 
     def test_close_then_reuse_reforks(self, pool):
         spawns = registry().counter("exec.warmpool.spawns")
@@ -117,7 +142,7 @@ class TestPoolRegistry:
 class TestMapEncoded:
     def test_process_executor_routes_through_the_warm_pool(self):
         dispatches = registry().counter("exec.warmpool.dispatches")
-        executor = ProcessExecutor(workers=2, warm=True)
+        executor = ProcessExecutor(workers=2)
         before = dispatches.value
         items = list(range(12))
         assert executor.map_encoded(_scale, 4, items) == [
@@ -125,25 +150,23 @@ class TestMapEncoded:
         ]
         assert dispatches.value == before + 1
 
-    def test_warm_flag_off_uses_fork_per_batch(self):
-        dispatches = registry().counter("exec.warmpool.dispatches")
-        executor = ProcessExecutor(workers=2, warm=False)
-        before = dispatches.value
-        assert executor.map_encoded(_scale, 2, [1, 2, 3]) == [2, 4, 6]
-        assert dispatches.value == before
-
     def test_unpicklable_common_falls_back_transparently(self):
-        executor = ProcessExecutor(workers=2, warm=True)
+        fallbacks = registry().counter("exec.warmpool.fallbacks")
+        dispatches = registry().counter("exec.warmpool.dispatches")
+        executor = ProcessExecutor(workers=2)
         handle = open(os.devnull)  # noqa: SIM115 -- deliberately unpicklable
+        before = fallbacks.value, dispatches.value
         try:
-            # common cannot pickle; the fork path inherits it by memory
-            # and the batch still completes with exact results.
+            # common cannot pickle, so nothing is dispatched: the batch
+            # runs inline, in this process, with exact results.
             result = executor.map_encoded(
-                lambda common, item: item * 2, handle, [1, 2, 3]
+                lambda common, item: (item * 2, os.getpid()), handle, [1, 2, 3]
             )
         finally:
             handle.close()
-        assert result == [2, 4, 6]
+        assert result == [(2, os.getpid()), (4, os.getpid()), (6, os.getpid())]
+        assert fallbacks.value == before[0] + 1
+        assert dispatches.value == before[1]
 
     def test_every_executor_kind_agrees(self):
         items = list(range(9))
