@@ -1,7 +1,9 @@
 # Tier-1 verify and friends, each as one command.
 #
 #   make test           run the test suite (tier-1 gate)
-#   make test-parallel  the same suite under a 4-worker thread executor
+#   make test-partitioned  the same suite on the serial executor split
+#                       into 4 partitions: every partition-aware path
+#                       shards, runs inline and reassembles
 #   make test-sqlite    the same suite with SQLite as the default backend
 #   make test-auto      the same suite under the cost-model-driven
 #                       adaptive executor (REPRO_EXECUTOR=auto)
@@ -28,7 +30,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:.:$(PYTHONPATH)
 
-.PHONY: test test-parallel test-sqlite test-auto test-process test-remote \
+.PHONY: test test-partitioned test-sqlite test-auto test-process test-remote \
 	test-remote-sharded bench bench-stream bench-kernel bench-parallel \
 	bench-storage bench-adaptive bench-remote lint lint-analysis \
 	quickstart
@@ -36,8 +38,8 @@ export PYTHONPATH := src:.:$(PYTHONPATH)
 test:
 	$(PYTHON) -m pytest -x -q
 
-test-parallel:
-	REPRO_EXECUTOR=thread REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q
+test-partitioned:
+	REPRO_EXECUTOR=serial REPRO_PARTITIONS=4 $(PYTHON) -m pytest -x -q
 
 test-sqlite:
 	REPRO_STORAGE=sqlite $(PYTHON) -m pytest -x -q

@@ -154,9 +154,9 @@ def test_stream_flush_scaling_is_exact_and_recorded():
         f"{serial_elapsed * 1e3:.1f} ms"
     )
     for workers in WORKER_COUNTS:
-        elapsed, relation = run(dict(executor="thread", workers=workers))
+        elapsed, relation = run(dict(executor="process", workers=workers))
         print(
-            f"stream flush, {workers} thread worker(s): "
+            f"stream flush, {workers} process worker(s): "
             f"{elapsed * 1e3:.1f} ms "
             f"({serial_elapsed / elapsed:.2f}x vs serial)"
         )

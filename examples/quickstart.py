@@ -16,8 +16,7 @@ This walks the paper's core loop with the fluent lazy API:
    layer shards entity work into hash partitions, and any executor /
    partition count reproduces the serial result exactly -- including
    the adaptive runtime (REPRO_EXECUTOR=auto), where a cost model
-   routes each batch to the serial loop, the thread pool or the warm
-   process pool,
+   routes each batch to the serial loop or the warm process pool,
 7. persist everything through a pluggable storage backend (json /
    sqlite / append-only log), with write-ahead durability for streams,
 8. watch it all through the unified telemetry layer (repro.obs):
@@ -161,7 +160,7 @@ def main() -> None:
     from repro.session import Session
 
     serial_union = integrated.collect()
-    with executor_scope(executor="thread", workers=4) as config:
+    with executor_scope(executor="process", workers=2) as config:
         print(config.describe())  # also shown by `repro repl` :stats
         # A fresh session, so the collect below really re-executes
         # (the default session would serve its cached result).
@@ -177,8 +176,9 @@ def main() -> None:
     # executor="auto") hands the choice to a cost model (repro.exec.cost):
     # each batch is priced from its entity count, sources per entity,
     # focal-set sizes and the live kernel-vs-fallback ratio, then routed
-    # to the serial loop, the thread pool, or the process pool --
-    # whichever the estimate says finishes first.  Process batches
+    # to the serial loop or the process pool -- whichever the estimate
+    # says finishes first.  (There is no thread pool: the merges are
+    # pure-Python arithmetic that holds the GIL.)  Process batches
     # dispatch through a *warm* worker pool (repro.exec.warmpool): the
     # fork is paid once and every later batch ships as compact pickled
     # chunks, which is what makes process workers profitable on the

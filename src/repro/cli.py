@@ -213,12 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="fan flush re-folds out over N workers (implies a thread "
+        help="fan flush re-folds out over N workers (implies the auto "
         "executor unless --executor says otherwise)",
     )
     stream.add_argument(
         "--executor",
-        choices=["serial", "thread", "process", "auto"],
+        choices=["serial", "process", "auto"],
         default=None,
         help="physical executor; 'auto' picks per batch via the cost "
         "model (default: REPRO_EXECUTOR or serial)",
@@ -600,7 +600,7 @@ def _command_stream(args: argparse.Namespace, out) -> int:
     if args.executor is not None or args.workers is not None:
         kind = args.executor
         if kind is None and args.workers and args.workers > 1:
-            kind = "thread"
+            kind = "auto"
         configure(executor=kind, workers=args.workers)
     db = open_database(args.database)
     durable = open_backend(args.durable) if args.durable else None

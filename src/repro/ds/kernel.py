@@ -102,9 +102,10 @@ class KernelStats:
 class LiveKernelStats:
     """The process-wide counters, safe to bump from executor workers.
 
-    Combination and compilation happen *inside* partition tasks when a
-    fold fans out (:mod:`repro.exec`), so the counters are bumped from
-    pool threads concurrently.  Increments go through
+    Combination and compilation happen *inside* partition tasks, and an
+    in-process worker daemon (:mod:`repro.exec.remote.worker`) runs
+    them on its connection threads, so the counters are bumped
+    concurrently.  Increments go through
     :class:`~repro.counters.ThreadLocalCounters` -- each worker bumps a
     private cell, reads aggregate -- so counts observed after a batch
     completes are exact, with no lock on the combination hot path.
@@ -320,8 +321,8 @@ class InternedFrame:
 #: domain shares one bit assignment.  Bounded: interning is a cache, not
 #: an identity requirement (bit order is a pure function of the value
 #: set), so clearing it is always safe.  Writes are guarded by
-#: :data:`_INTERN_LOCK`: compilation runs inside executor worker threads,
-#: and the evict-then-insert sequence must not interleave.
+#: :data:`_INTERN_LOCK`: compilation runs on worker-daemon connection
+#: threads too, and the evict-then-insert sequence must not interleave.
 _INTERNED: dict[FrameOfDiscernment, InternedFrame] = {}
 _INTERN_LIMIT = 4096
 _INTERN_LOCK = threading.Lock()

@@ -7,13 +7,13 @@ entity work into hash partitions and fans the partition tasks out over
 a pluggable worker pool:
 
 * :mod:`repro.exec.executors` -- the :class:`Executor` abstraction
-  (serial / thread-pool / warm process-pool / cost-model ``auto``), the
+  (serial / warm process-pool / cost-model ``auto`` / ``remote``), the
   process-global configuration (:func:`configure`, ``REPRO_EXECUTOR`` /
   ``REPRO_WORKERS`` / ``REPRO_PARTITIONS``), and fan-out counters;
 * :mod:`repro.exec.cost` -- the adaptive cost model behind
   ``REPRO_EXECUTOR=auto``: per-entity merge cost from focal-set sizes x
   source count x kernel-vs-fallback share, choosing partition count and
-  executor kind per call site;
+  serial or warm pool per call site;
 * :mod:`repro.exec.warmpool` -- the persistent warm ``fork`` worker
   pool (compact task encoding) behind the process executor's
   :meth:`Executor.map_encoded`;
@@ -36,8 +36,8 @@ any other executor and any partition count, every partition-aware path
 *equal the serial result exactly* -- property-tested in ``tests/exec``.
 
 >>> from repro import exec as rexec
->>> rexec.configure(executor="thread", workers=2).kind
-'thread'
+>>> rexec.configure(executor="process", workers=2).kind
+'process'
 >>> rexec.configure(executor="serial", workers=1, partitions=None).kind
 'serial'
 """
@@ -50,7 +50,6 @@ from repro.exec.executors import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     configure,
     current_config,
     exec_stats,
@@ -108,7 +107,6 @@ __all__ = [
     "RemoteExecutor",
     "RewritePass",
     "SerialExecutor",
-    "ThreadExecutor",
     "WorkerClient",
     "WorkerServer",
     "apply_node",

@@ -8,8 +8,8 @@ partition-aware call site (``Session._run`` via the physical operators,
 ``Federation.integrate``, ``StreamEngine.flush``) describes its
 workload, the model prices it, and the adaptive executor
 (:class:`repro.exec.executors.AdaptiveExecutor`) routes the batch to
-whichever path the estimate favors -- inline, the thread pool, or the
-warm process pool (:mod:`repro.exec.warmpool`).
+whichever path the estimate favors -- inline or the warm process pool
+(:mod:`repro.exec.warmpool`).
 
 Cost model inputs
 =================
@@ -70,11 +70,6 @@ KERNEL_CELL_COST = 0.05
 FALLBACK_COMBINATION_BASE = 10.0
 FALLBACK_CELL_COST = 1.0
 
-#: Thread-pool dispatch: per-batch setup plus per-task handoff, and the
-#: GIL serializes all but the interpreter-released share of the work.
-THREAD_BATCH_COST = 250.0
-THREAD_TASK_COST = 40.0
-THREAD_PARALLEL_FRACTION = 0.35
 #: Warm process pool: per-batch pickling/bookkeeping, per-task pipe
 #: round trip, plus per-entity state shipping both ways.
 PROCESS_BATCH_COST = 1500.0
@@ -96,9 +91,9 @@ DEFAULT_REMOTE_BYTES_PER_ITEM = 512.0
 #: keyed batches accrue samples the default models a short entity key.
 DEFAULT_LOCALITY_BYTES_PER_ITEM = 64.0
 LOCALITY_LOAD_COST = 1.0
-#: Floor on the useful work one parallel task should carry; partition
-#: counts are capped so tasks stay at least this expensive.
-MIN_TASK_COST = {"thread": 2000.0, "process": 10000.0}
+#: Floor on the useful work one process-pool task should carry;
+#: partition counts are capped so tasks stay at least this expensive.
+MIN_TASK_COST = 10000.0
 
 #: Defaults when a call site supplies no hint.
 DEFAULT_SOURCES = 2.0
@@ -182,50 +177,34 @@ def estimate(profile: WorkloadProfile) -> float:
     )
 
 
-def _partitions_for(kind: str, total: float, entities: int, workers: int) -> int:
-    by_work = max(int(total // MIN_TASK_COST[kind]), 1)
-    return min(workers, entities, by_work)
-
-
 def decide(profile: WorkloadProfile, workers: int) -> Decision:
-    """Price *profile* and pick the cheapest executor kind + partitions.
+    """Price *profile* and pick serial or the warm pool + partitions.
 
-    Serial wins ties: a parallel path must beat the serial estimate
+    Serial wins ties: the process path must beat the serial estimate
     strictly, so cheap workloads never pay dispatch overhead.
     """
     total = estimate(profile)
     entities = max(int(profile.entities), 0)
     if entities <= 1 or workers <= 1:
         return Decision("serial", 1, total, "nothing to fan out")
-    best_kind, best_partitions, best_time = "serial", 1, total
-    reason = f"serial beats dispatch overhead ({total:.0f} units)"
-    thread_p = _partitions_for("thread", total, entities, workers)
-    if thread_p >= 2:
-        thread_time = (
-            THREAD_BATCH_COST
-            + thread_p * THREAD_TASK_COST
-            + total * (1.0 - THREAD_PARALLEL_FRACTION)
-            + total * THREAD_PARALLEL_FRACTION / thread_p
-        )
-        if thread_time < best_time:
-            best_kind, best_partitions, best_time = "thread", thread_p, thread_time
-            reason = f"thread overlap wins at {thread_p} partitions"
-    process_p = _partitions_for("process", total, entities, workers)
-    if process_p >= 2:
+    partitions = min(workers, entities, max(int(total // MIN_TASK_COST), 1))
+    if partitions >= 2:
         process_time = (
             PROCESS_BATCH_COST
-            + process_p * PROCESS_TASK_COST
+            + partitions * PROCESS_TASK_COST
             + entities * PROCESS_SHIP_COST
-            + total / process_p
+            + total / partitions
         )
-        if process_time < best_time:
-            best_kind, best_partitions, best_time = (
+        if process_time < total:
+            return Decision(
                 "process",
-                process_p,
-                process_time,
+                partitions,
+                total,
+                f"process workers win at {partitions} partitions",
             )
-            reason = f"process workers win at {process_p} partitions"
-    return Decision(best_kind, best_partitions, total, reason)
+    return Decision(
+        "serial", 1, total, f"serial beats dispatch overhead ({total:.0f} units)"
+    )
 
 
 # -- the remote tier ----------------------------------------------------------
@@ -421,7 +400,7 @@ _DECISION_COUNTERS = {
         f"exec.auto.{kind}_decisions",
         f"auto-mode batches routed to the {kind} path",
     )
-    for kind in ("serial", "thread", "process")
+    for kind in ("serial", "process")
 }
 
 

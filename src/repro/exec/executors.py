@@ -11,10 +11,6 @@ a batch-constant ``common``, and the per-partition items).  An
 * :class:`SerialExecutor` (the default) runs tasks inline, in order.
   Results and pair order are bit-for-bit identical to the historical
   single-loop code paths.
-* :class:`ThreadExecutor` fans tasks out over a thread pool.  Per-entity
-  work shares no mutable state, so the GIL-bound pool already overlaps
-  the interpreter-released portions (hashing, allocation) and keeps
-  results exact.
 * :class:`ProcessExecutor` ships batches to the persistent warm
   ``fork`` pool (:mod:`repro.exec.warmpool`): ``common`` is pickled once
   per chunk and results pickle back (every model object pickles: mass
@@ -34,8 +30,10 @@ would deadlock a bounded pool.
 :class:`AdaptiveExecutor` prices each batch with the cost model
 (:mod:`repro.exec.cost` -- focal-set sizes x source count x
 kernel-vs-fallback path, fed by the live telemetry counters) and routes
-it to the serial loop, the thread pool, or the warm process pool
+it to the serial loop or the warm process pool
 (:mod:`repro.exec.warmpool`), picking the partition count to match.
+There is no thread pool: per-entity merges are pure-Python arithmetic
+that holds the GIL, so threads could only add dispatch cost.
 
 Whatever the executor and partition count, every partition-aware code
 path reassembles results so they *equal the serial result exactly* --
@@ -61,7 +59,7 @@ from repro.obs.registry import registry as _metrics_registry
 #: Accepted executor kinds (``auto`` defers to the cost model per
 #: batch; ``remote`` scatters across socket worker daemons, see
 #: :mod:`repro.exec.remote`).
-EXECUTOR_KINDS = ("serial", "thread", "process", "auto", "remote")
+EXECUTOR_KINDS = ("serial", "process", "auto", "remote")
 
 
 @dataclass
@@ -89,11 +87,12 @@ class ExecStats:
 
 
 class LiveExecStats:
-    """The process-wide counters, safe to bump from pool workers.
+    """The process-wide counters, safe to bump from any thread.
 
-    Nested fan-out runs :meth:`Executor.map` *inside* worker threads
-    (counted as inline batches there), so the counters are bumped
-    concurrently; increments go through
+    An in-process worker daemon (:mod:`repro.exec.remote.worker`) runs
+    tasks on its connection threads beside the coordinator's own
+    batches, so the counters are bumped concurrently; increments go
+    through
     :class:`~repro.counters.ThreadLocalCounters` so counts observed
     after a batch returns are exact.
     """
@@ -149,18 +148,20 @@ def exec_stats() -> ExecStats:
     return STATS
 
 
-def note_inline_batch() -> None:
-    """Count a batch the calling executor ran inline (no fan-out).
+def run_inline(fn, common, items: list) -> list:
+    """``[fn(common, item) for item in items]`` in the caller, counted
+    as an inline batch (no fan-out).
 
     Owning-layer entry point for executors living in subpackages (the
     remote coordinator): they report through here rather than bumping
     :data:`STATS` from another package.
     """
     STATS.bump("inline_batches")
+    return [fn(common, item) for item in items]
 
 
 def note_parallel_batch(tasks: int) -> None:
-    """Count a fanned-out batch of *tasks* items (see :func:`note_inline_batch`)."""
+    """Count a fanned-out batch of *tasks* items (see :func:`run_inline`)."""
     STATS.bump("parallel_batches")
     STATS.bump("tasks", tasks)
 
@@ -190,11 +191,6 @@ def _apply_task(task, item):
     """Module-level trampoline: lets :meth:`Executor.map` ship *task*
     through :meth:`Executor.map_encoded` (``common`` is the task)."""
     return task(item)
-
-
-def _run_inline(fn, common, items: list) -> list:
-    STATS.bump("inline_batches")
-    return [fn(common, item) for item in items]
 
 
 class Executor(ABC):
@@ -232,7 +228,7 @@ class Executor(ABC):
         """
         items = list(items)
         if len(items) <= 1 or self.workers <= 1 or _task_depth() > 0:
-            return _run_inline(fn, common, items)
+            return run_inline(fn, common, items)
         with tracing.span("exec.map", kind=self.kind, tasks=len(items)):
             return self._map_encoded(fn, common, items)
 
@@ -256,45 +252,7 @@ class SerialExecutor(Executor):
         super().__init__(workers=1)
 
     def _map_encoded(self, fn, common, items):  # pragma: no cover -- one worker
-        return _run_inline(fn, common, items)
-
-
-class ThreadExecutor(Executor):
-    """A persistent thread pool (lazily created)."""
-
-    kind = "thread"
-
-    def __init__(self, workers: int):
-        super().__init__(workers)
-        self._pool = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            with self._lock:
-                if self._pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="repro-exec",
-                    )
-        return self._pool
-
-    def _map_encoded(self, fn, common, items):
-        pool = self._ensure_pool()
-        note_parallel_batch(len(items))
-
-        def run(item):
-            with _inside_task():
-                return fn(common, item)
-
-        return list(pool.map(run, items))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        return run_inline(fn, common, items)
 
 
 class ProcessExecutor(Executor):
@@ -315,7 +273,7 @@ class ProcessExecutor(Executor):
         pool = warmpool.get_pool(self.workers)
         results = None if pool is None else pool.submit_batch(fn, common, items)
         if results is None:
-            return _run_inline(fn, common, items)
+            return run_inline(fn, common, items)
         note_parallel_batch(len(items))
         return results
 
@@ -323,14 +281,14 @@ class ProcessExecutor(Executor):
 class AdaptiveExecutor(Executor):
     """The cost-model router behind ``REPRO_EXECUTOR=auto``.
 
-    Holds one inner executor per kind and delegates each batch to the
-    one the cost model (:mod:`repro.exec.cost`) picked: the preceding
-    :func:`partition_count` call prices the workload (under whatever
-    :func:`repro.exec.cost.workload` hint the call site scoped) and
-    remembers the decision thread-locally; this executor consumes it,
-    so partitioning and executor kind always come from the same
-    pricing.  A batch with no usable remembered decision (or more items
-    than the decision partitioned for) is re-priced from its item
+    Runs each batch inline or on an inner :class:`ProcessExecutor`,
+    whichever the cost model (:mod:`repro.exec.cost`) picked: the
+    preceding :func:`partition_count` call prices the workload (under
+    whatever :func:`repro.exec.cost.workload` hint the call site
+    scoped) and remembers the decision thread-locally; this executor
+    consumes it, so partitioning and executor kind always come from the
+    same pricing.  A batch with no usable remembered decision (or more
+    items than the decision partitioned for) is re-priced from its item
     count.  Every route is exact -- the equivalence contract holds for
     any executor -- so routing only ever changes *when* the answer
     arrives.
@@ -340,11 +298,7 @@ class AdaptiveExecutor(Executor):
 
     def __init__(self, workers: int):
         super().__init__(workers)
-        self._inner = {
-            "serial": SerialExecutor(),
-            "thread": ThreadExecutor(workers),
-            "process": ProcessExecutor(workers),
-        }
+        self._process = ProcessExecutor(workers)
 
     def _map_encoded(self, fn, common, items):
         from repro.exec import cost as _cost
@@ -352,11 +306,9 @@ class AdaptiveExecutor(Executor):
         decision = _cost.consume()
         if decision is None or len(items) > decision.partitions:
             decision = _cost.decide_for(len(items), self.workers)
-        return self._inner[decision.kind].map_encoded(fn, common, items)
-
-    def close(self) -> None:
-        for executor in self._inner.values():
-            executor.close()
+        if decision.kind == "serial":
+            return run_inline(fn, common, items)
+        return self._process.map_encoded(fn, common, items)
 
 
 # -- configuration ------------------------------------------------------------
@@ -454,8 +406,6 @@ def _current() -> ExecConfig:
 def _build_executor(config: ExecConfig) -> Executor:
     if config.kind == "serial":
         return SerialExecutor()
-    if config.kind == "thread":
-        return ThreadExecutor(config.workers)
     if config.kind == "auto":
         return AdaptiveExecutor(config.workers)
     if config.kind == "remote":
@@ -472,8 +422,8 @@ def configure(
 ) -> ExecConfig:
     """Choose the process-global executor and partitioning.
 
-    >>> configure(executor="thread", workers=4).describe()
-    'executor: thread, 4 worker(s), 4 partition(s)'
+    >>> configure(executor="process", workers=4).describe()
+    'executor: process, 4 worker(s), 4 partition(s)'
     >>> configure(executor="serial", workers=1, partitions=None).kind
     'serial'
 
@@ -522,7 +472,8 @@ def _shutdown_at_exit() -> None:
     """Close the global executor when the interpreter exits.
 
     A session that never calls ``close()`` explicitly would otherwise
-    leak pool threads and remote connections past its useful life;
+    leak remote connections and their dispatch threads past its useful
+    life;
     every executor's ``close()`` is idempotent, so this hook is safe to
     run after (or race with) an explicit close.  The warm fork pool has
     its own hook (:mod:`repro.exec.warmpool`) because it deliberately
@@ -572,9 +523,9 @@ def executor_scope(
 ):
     """Temporarily reconfigure the executor (tests, benchmarks).
 
-    >>> with executor_scope(executor="thread", workers=2) as config:
+    >>> with executor_scope(executor="process", workers=2) as config:
     ...     config.kind
-    'thread'
+    'process'
     """
     global _config, _executor
     previous_config, previous_executor = _current(), _executor

@@ -1,8 +1,8 @@
 """repro.exec.remote -- distributed shard-by-key execution over sockets.
 
 The executor abstraction (:mod:`repro.exec.executors`) historically
-stopped at one host: serial, thread-pool and fork process-pool
-executors all spend the same machine.  This package carries the same
+stopped at one host: the serial and warm process-pool executors both
+spend the same machine.  This package carries the same
 ``Executor`` contract across a wire:
 
 * :mod:`repro.exec.remote.protocol` -- the length-prefixed, CRC-checked
@@ -22,8 +22,8 @@ executors all spend the same machine.  This package carries the same
   ``Executor`` that scatters encoded partition batches across the
   configured workers (``REPRO_WORKERS_ADDRS``), gathers results in
   exact serial order, retries a dead worker's chunks on survivors with
-  backoff, and transparently falls back to the local adaptive executor
-  when a payload cannot pickle or the cluster is gone.  Batches the
+  backoff, and transparently runs a batch inline when its payload
+  cannot pickle or the cluster is gone.  Batches the
   cost model (:mod:`repro.exec.cost`, remote tier) prices below the
   wire overhead never leave the process.
 * :mod:`repro.exec.remote.shards` -- the coordinator-side ledger of the

@@ -31,8 +31,8 @@ round-trip latency and bytes-per-item of every batch this coordinator
 ships (``REPRO_REMOTE_THRESHOLD`` pins the gate to an item count
 instead; ``0`` forces everything remote, which is how the fault and
 equivalence suites exercise the wire).  Unpicklable payloads, an empty
-worker list, and nested fan-out all fall back to a local adaptive
-executor transparently.
+worker list, and nested fan-out all run inline in the coordinator
+transparently -- serial is the fastest local path on record.
 
 When every worker owns a shard store (``repro worker serve --store``),
 callers that can describe items as entity keys use
@@ -68,8 +68,8 @@ from repro.errors import ConfigError, ProtocolError, TaskDecodeError
 from repro.exec.executors import (
     Executor,
     _task_depth,
-    note_inline_batch,
     note_parallel_batch,
+    run_inline,
 )
 from repro.exec.remote import protocol
 from repro.exec.remote.shards import ShardSyncManager
@@ -399,9 +399,9 @@ class RemoteExecutor(Executor):
 
     *addresses* defaults to ``REPRO_WORKERS_ADDRS`` (comma-separated
     ``host:port`` / ``unix:/path`` specs).  With no addresses at all
-    the executor still constructs and works -- every batch runs on the
-    local fallback -- so ``REPRO_EXECUTOR=remote`` without a cluster
-    degrades to ``auto`` rather than failing.
+    the executor still constructs and works -- every batch runs inline
+    -- so ``REPRO_EXECUTOR=remote`` without a cluster degrades to
+    ``serial`` rather than failing.
     """
 
     kind = "remote"
@@ -414,21 +414,9 @@ class RemoteExecutor(Executor):
             workers = max(1, len(self.addresses))
         super().__init__(workers)
         self._clients = [WorkerClient(address) for address in self.addresses]
-        self._local = None
         self._dispatch_pool = None
         self._lock = threading.Lock()
         self._shards = ShardSyncManager()
-
-    # -- local fallback --------------------------------------------------------
-
-    def _local_executor(self) -> Executor:
-        if self._local is None:
-            with self._lock:
-                if self._local is None:
-                    from repro.exec.executors import AdaptiveExecutor
-
-                    self._local = AdaptiveExecutor(os.cpu_count() or 1)
-        return self._local
 
     def _ensure_dispatch_pool(self):
         if self._dispatch_pool is None:
@@ -463,15 +451,14 @@ class RemoteExecutor(Executor):
         # Unlike the base, a one-worker cluster still scatters.
         items = list(items)
         if len(items) <= 1 or _task_depth() > 0:
-            note_inline_batch()
-            return [fn(common, item) for item in items]
+            return run_inline(fn, common, items)
         return self._map_encoded(fn, common, items)
 
     def _map_encoded(self, fn, common, items):
         results = self.submit_batch(fn, common, items)
         if results is None:
             _FALLBACKS.inc()
-            return self._local_executor().map_encoded(fn, common, items)
+            return run_inline(fn, common, items)
         return results
 
     def submit_batch(self, fn, common, items) -> list | None:
@@ -614,8 +601,7 @@ class RemoteExecutor(Executor):
         """
         items = list(items)
         if len(items) <= 1 or _task_depth() > 0:
-            note_inline_batch()
-            return [fn(common, item) for item in items]
+            return run_inline(fn, common, items)
         results = self.submit_batch_keyed(fn, common, list(specs), items)
         if results is not None:
             return results
@@ -885,13 +871,10 @@ class RemoteExecutor(Executor):
         """
         with self._lock:
             pool, self._dispatch_pool = self._dispatch_pool, None
-            local, self._local = self._local, None
         for client in self._clients:
             client.close()
         if pool is not None:
             pool.shutdown(wait=True)
-        if local is not None:
-            local.close()
 
     def __repr__(self) -> str:
         return (

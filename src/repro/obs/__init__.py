@@ -25,7 +25,6 @@ exec.parallel_batches                   counter    batches fanned out to workers
 exec.inline_batches                     counter    batches run inline (serial / nested / too small)
 exec.tasks                              counter    individual partition tasks dispatched
 exec.auto.serial_decisions              counter    auto-mode batches the cost model kept serial
-exec.auto.thread_decisions              counter    auto-mode batches routed to the thread pool
 exec.auto.process_decisions             counter    auto-mode batches routed to the process pool
 exec.warmpool.dispatches                counter    batches dispatched to the warm worker pool
 exec.warmpool.tasks                     counter    items shipped to warm workers

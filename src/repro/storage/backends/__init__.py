@@ -111,18 +111,14 @@ def open_database(url):
 
     Backends advertising ``lazy_catalog`` (SQLite) open with name stubs
     instead of parsing every relation up front; each relation loads on
-    first access.  ``REPRO_LAZY_CATALOG=0`` restores the eager load.
+    first access.
     """
     backend = resolve_backend(url)
     if not backend.exists():
         raise SerializationError(f"no database at {backend.url()}")
     backend.open()
     try:
-        lazy = (
-            backend.lazy_catalog
-            and os.environ.get("REPRO_LAZY_CATALOG", "").strip() != "0"
-        )
-        if lazy:
+        if backend.lazy_catalog:
             from repro.storage.database import Database
 
             database = Database(backend.database_name())

@@ -71,8 +71,7 @@ class Database:
         Backends that support it (``lazy_catalog``, e.g. SQLite) open
         lazily: the catalog holds name stubs and each relation's rows
         are parsed on first access, so opening a large store to query
-        one relation reads one relation.  ``REPRO_LAZY_CATALOG=0``
-        forces the historical eager load.
+        one relation reads one relation.
         """
         from repro.storage.backends import open_database
 

@@ -80,8 +80,14 @@ class TestDecide:
             entities=200_000, sources=5.0, focal=8.0, kernel_fraction=0.0
         )
         decision = cost.decide(profile, workers=4)
-        assert decision.kind in ("thread", "process")
+        assert decision.kind == "process"
         assert decision.partitions >= 2
+
+    def test_float_federation_integrate_stays_serial(self):
+        # 3 sources x 1200 entities: the warm pool cannot pay for its
+        # shipping at 2 workers, so serial wins.
+        profile = cost.WorkloadProfile(entities=1200, sources=3.0)
+        assert cost.decide(profile, workers=2).kind == "serial"
 
     def test_partitions_capped_by_workers_and_entities(self):
         for entities in (2, 3, 17, 1000):
@@ -91,6 +97,7 @@ class TestDecide:
                 )
                 decision = cost.decide(profile, workers)
                 assert 1 <= decision.partitions <= min(workers, entities)
+                assert decision.kind in ("serial", "process")
 
     def test_describe_is_informative(self):
         profile = cost.WorkloadProfile(entities=12)
@@ -121,7 +128,7 @@ class TestWorkloadHints:
             assert cost.profile_for(3).entities == 3
 
     def test_remember_consume_roundtrip(self):
-        decision = cost.Decision("thread", 3, 123.0, "test")
+        decision = cost.Decision("process", 3, 123.0, "test")
         cost.remember(decision)
         assert cost.consume() is decision
         assert cost.consume() is None

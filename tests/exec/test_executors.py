@@ -9,9 +9,9 @@ import pytest
 from repro.errors import ConfigError, ExecutionError, RelationError
 from repro.exec import (
     EXECUTOR_KINDS,
+    AdaptiveExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     configure,
     current_config,
     describe_physical,
@@ -27,6 +27,28 @@ from repro.datasets.restaurants import table_ra
 from repro.model.relation import ExtendedRelation
 
 
+# Module-level task functions: the warm pool pickles tasks by reference.
+
+
+def _scale(common, item):
+    return common * item
+
+
+def _fan_out_again(common, item):
+    """Issue a nested batch from inside a task and report how it ran."""
+    before = exec_stats().snapshot()
+    inner = ProcessExecutor(workers=3).map_encoded(
+        _scale, common, [item, item + 1]
+    )
+    after = exec_stats().snapshot()
+    return (
+        inner,
+        os.getpid(),
+        after.parallel_batches - before.parallel_batches,
+        after.inline_batches - before.inline_batches,
+    )
+
+
 class TestConfiguration:
     def test_default_is_serial_with_one_partition(self):
         with executor_scope(executor="serial", workers=1, partitions=None):
@@ -37,13 +59,24 @@ class TestConfiguration:
 
     def test_configure_switches_executor_kinds(self):
         with executor_scope():
-            assert configure(executor="thread", workers=3).kind == "thread"
-            assert isinstance(get_executor(), ThreadExecutor)
+            assert configure(executor="auto", workers=3).kind == "auto"
+            assert isinstance(get_executor(), AdaptiveExecutor)
             assert configure(executor="process", workers=2).kind == "process"
             assert isinstance(get_executor(), ProcessExecutor)
 
+    def test_thread_executor_is_rejected(self, monkeypatch):
+        # Not a kind: per-entity merges hold the GIL, so threads only
+        # add dispatch cost.
+        removed = "thread"
+        with executor_scope():
+            with pytest.raises(ConfigError, match="serial.*process.*auto"):
+                configure(executor=removed)
+        monkeypatch.setenv("REPRO_EXECUTOR", removed)
+        with pytest.raises(ConfigError, match="REPRO_EXECUTOR.*remote"):
+            _config_from_env()
+
     def test_partitions_default_to_workers(self):
-        with executor_scope(executor="thread", workers=5):
+        with executor_scope(executor="process", workers=5):
             assert current_config().effective_partitions() == 5
             assert partition_count(100) == 5
             # ... but never more partitions than entities.
@@ -51,7 +84,7 @@ class TestConfiguration:
             assert partition_count(1) == 1
 
     def test_explicit_partitions_override_workers(self):
-        with executor_scope(executor="thread", workers=2, partitions=7):
+        with executor_scope(executor="process", workers=2, partitions=7):
             assert partition_count(100) == 7
 
     def test_serial_with_explicit_partitions_still_partitions(self):
@@ -67,9 +100,9 @@ class TestConfiguration:
             configure(partitions=0)
 
     def test_describe_mentions_kind_workers_partitions(self):
-        with executor_scope(executor="thread", workers=4) as config:
+        with executor_scope(executor="process", workers=4) as config:
             text = config.describe()
-            assert "thread" in text and "4 worker(s)" in text
+            assert "process" in text and "4 worker(s)" in text
             assert "4 partition(s)" in text
 
     def test_env_variables_choose_the_executor(self):
@@ -80,7 +113,7 @@ class TestConfiguration:
         )
         env = dict(
             os.environ,
-            REPRO_EXECUTOR="thread",
+            REPRO_EXECUTOR="process",
             REPRO_WORKERS="3",
             REPRO_PARTITIONS="5",
             PYTHONPATH="src",
@@ -89,7 +122,7 @@ class TestConfiguration:
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, check=True, cwd="/root/repo",
         ).stdout.split()
-        assert output == ["thread", "3", "5"]
+        assert output == ["process", "3", "5"]
 
     def test_malformed_env_surfaces_as_clean_error_not_at_import(self):
         """A bad REPRO_* variable must not make the package unimportable;
@@ -120,18 +153,19 @@ class TestConfiguration:
         ],
     )
     def test_out_of_range_env_values_raise(self, monkeypatch, name, value):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         monkeypatch.setenv(name, value)
         with pytest.raises(ConfigError, match=name):
             _config_from_env()
 
     def test_zero_workers_env_means_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         monkeypatch.setenv("REPRO_WORKERS", "0")
         monkeypatch.delenv("REPRO_PARTITIONS", raising=False)
         assert _config_from_env().workers == (os.cpu_count() or 1)
 
     def test_all_kinds_are_constructible(self):
+        assert EXECUTOR_KINDS == ("serial", "process", "auto", "remote")
         for kind in EXECUTOR_KINDS:
             with executor_scope(executor=kind, workers=2):
                 assert get_executor().kind == kind
@@ -156,22 +190,22 @@ class TestExecutors:
                 get_executor().map(boom, range(8))
 
     def test_nested_fan_out_runs_inline(self):
-        """A batch issued from inside a task must not re-enter the pool."""
-        with executor_scope(executor="thread", workers=2):
-            stats = exec_stats()
-            baseline = stats.parallel_batches
-
-            def outer(x):
-                inner = get_executor().map(lambda y: y + 1, range(4))
-                return sum(inner) + x
-
-            result = get_executor().map(outer, range(6))
-            assert result == [sum(range(1, 5)) + x for x in range(6)]
-            # Only the outer batch fanned out.
-            assert stats.parallel_batches == baseline + 1
+        """A batch issued from inside a warm-pool task must not re-enter
+        a pool: it runs inline in the worker."""
+        stats = exec_stats()
+        baseline = stats.parallel_batches
+        results = ProcessExecutor(workers=2).map_encoded(
+            _fan_out_again, 5, [0, 10]
+        )
+        assert [inner for inner, *_ in results] == [[0, 5], [50, 55]]
+        for _, pid, parallel, inline in results:
+            assert pid != os.getpid()
+            assert (parallel, inline) == (0, 1)
+        # Only the outer batch fanned out.
+        assert stats.parallel_batches == baseline + 1
 
     def test_single_item_batches_run_inline(self):
-        with executor_scope(executor="thread", workers=4):
+        with executor_scope(executor="process", workers=4):
             stats = exec_stats()
             before = stats.parallel_batches
             assert get_executor().map(lambda x: x, [42]) == [42]

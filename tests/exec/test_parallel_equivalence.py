@@ -1,8 +1,8 @@
 """Property tests: any executor x any partition count == serial, exactly.
 
 The acceptance bar of the partitioned physical layer: for random
-relations, random partition counts in 1..8 and all four executors
-(including the cost-model-driven ``auto``),
+relations, random partition counts in 1..8 and every local executor
+(serial, the warm process pool, and the cost-model-driven ``auto``),
 every algebra operation, ``Federation.integrate`` and stream
 interleavings must produce *exactly* the serial single-partition result
 -- same tuples in the same order, exact Fractions exactly, floats
@@ -38,7 +38,9 @@ from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
 from repro.stream import StreamEngine
 
-EXECUTORS = ("serial", "thread", "process", "auto")
+#: Serial runs partitioned too: every partition count above 1 splits,
+#: fans out inline and reassembles, the same path the pools take.
+EXECUTORS = ("serial", "process", "auto")
 
 #: One executor per hypothesis example (drawn), every partition count
 #: 1..8 checked inside the example.

@@ -171,6 +171,6 @@ class TestMapEncoded:
     def test_every_executor_kind_agrees(self):
         items = list(range(9))
         expected = [5 * x for x in items]
-        for kind in ("serial", "thread", "process", "auto"):
+        for kind in ("serial", "process", "auto"):
             with executor_scope(executor=kind, workers=2):
                 assert get_executor().map_encoded(_scale, 5, items) == expected

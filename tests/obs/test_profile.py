@@ -22,8 +22,9 @@ QUERY = (
     "WHERE rating IS {ex} WITH SN >= 0.5"
 )
 
-#: (executor, workers) configurations the profile must agree across.
-SCOPES = (("serial", 1), ("thread", 4), ("process", 2))
+#: (executor, workers, partitions) configurations the profile must
+#: agree across.
+SCOPES = (("serial", 1, None), ("serial", 1, 4), ("process", 2, None))
 
 
 @pytest.fixture
@@ -63,18 +64,20 @@ class TestExplainAnalyze:
         assert profile.wall_seconds > 0.0
 
     def test_row_counts_identical_under_every_executor(self, db):
-        shapes = {}
-        for executor, workers in SCOPES:
-            with executor_scope(executor=executor, workers=workers):
+        shapes = []
+        for executor, workers, partitions in SCOPES:
+            with executor_scope(
+                executor=executor, workers=workers, partitions=partitions
+            ):
                 profile = Session(db).explain_analyze(QUERY)
             assert profile.executor == executor
             assert profile.workers == workers
-            shapes[executor] = shape(profile)
+            shapes.append(shape(profile))
             assert all(
                 node.wall_seconds >= 0.0 for node in profile.nodes()
             )
-        assert shapes["thread"] == shapes["serial"]
-        assert shapes["process"] == shapes["serial"]
+        assert shapes[1] == shapes[0]
+        assert shapes[2] == shapes[0]
 
     def test_profile_bypasses_the_result_cache(self, db):
         session = Session(db)

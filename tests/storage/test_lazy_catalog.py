@@ -4,8 +4,7 @@
 (SQLite) must not parse a single tuple until someone asks for a
 relation -- and once it does, every catalog semantic (names, versions,
 invalidation, ``reload()``, persistence) must be indistinguishable from
-the historical eager load.  ``REPRO_LAZY_CATALOG=0`` restores eager
-loading outright.
+the historical eager load.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import pytest
 from repro.datasets.restaurants import table_m_a, table_ra, table_rb
 from repro.errors import CatalogError
 from repro.obs.registry import registry
-from repro.storage import Database, open_backend, open_database
+from repro.storage import Database, open_backend, open_database, resolve_backend
 
 
 def _loads() -> tuple[int, int]:
@@ -82,15 +81,12 @@ def test_unknown_name_error_lists_pending_stubs(store_url):
         db.close()
 
 
-def test_version_is_seeded_from_the_backend(store_url, monkeypatch):
+def test_version_is_seeded_from_the_backend(store_url):
     lazy = open_database(store_url)
     try:
-        monkeypatch.setenv("REPRO_LAZY_CATALOG", "0")
-        eager = open_database(store_url)
-        try:
-            assert lazy.version == eager.version
-        finally:
-            eager.close()
+        with resolve_backend(store_url).open() as backend:
+            eager = backend.load_database()
+        assert lazy.version == eager.version
     finally:
         lazy.close()
 
@@ -178,16 +174,6 @@ def test_close_materializes_stubs_first(store_url):
     db.close()
     assert db.get("RA") == table_ra()
     assert db.get("RB") == table_rb()
-
-
-def test_env_zero_restores_eager_open(store_url, monkeypatch):
-    monkeypatch.setenv("REPRO_LAZY_CATALOG", "0")
-    db = open_database(store_url)
-    try:
-        assert set(db._relations) == {"RA", "RB"}
-        assert db._pending == set()
-    finally:
-        db.close()
 
 
 def test_json_backend_stays_eager(tmp_path):

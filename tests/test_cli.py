@@ -310,8 +310,8 @@ class TestStream:
     def test_workers_flag_fans_out_and_matches_serial(
         self, demo_db, events_file, tmp_path
     ):
-        """--workers N replays through a pool; the integrated relation
-        is identical to the serial replay."""
+        """--workers N without --executor replays under ``auto``; the
+        integrated relation is identical to the serial replay."""
         from repro.exec import executor_scope
 
         serial_out = tmp_path / "serial.json"
@@ -327,9 +327,10 @@ class TestStream:
                 "--schema", "RA", "--workers", "3", "--save", str(pooled_out),
             )
             assert status == 0
-            assert "executor: thread, 3 worker(s)" in output
+            assert "executor: auto, 3 worker(s)" in output
         serial_db = read_database(serial_out)
         pooled_db = read_database(pooled_out)
+        assert pooled_db.get("integrated") == serial_db.get("integrated")
         assert pooled_db.get("integrated").same_tuples(
             serial_db.get("integrated")
         )
