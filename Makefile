@@ -5,8 +5,6 @@
 #                       into 4 partitions: every partition-aware path
 #                       shards, runs inline and reassembles
 #   make test-sqlite    the same suite with SQLite as the default backend
-#   make test-auto      the same suite under the cost-model-driven
-#                       adaptive executor (REPRO_EXECUTOR=auto)
 #   make test-process   the same suite under a 2-worker process
 #                       executor: every batch ships to the warm pool
 #   make test-remote    the same suite scattered over a 4-worker
@@ -18,10 +16,12 @@
 #   make bench-kernel   kernel-vs-frozenset combination benchmark
 #   make bench-parallel federation/stream scaling across worker counts
 #   make bench-storage  save/load/point-load per storage backend
-#   make bench-adaptive warm-pool dispatch time, dirty-shard flush bytes,
-#                       auto-vs-serial routing
+#   make bench-adaptive warm-pool dispatch time, dirty-shard flush bytes
 #   make bench-remote   remote scatter/gather vs serial across local
 #                       cluster sizes
+#   make bench-smoke    perfbench smoke run: every workload once at a
+#                       tiny size, with its output checks and every
+#                       wrapped entry point installed
 #   make lint           ruff check (fails in CI when ruff is absent;
 #                       skipped with a notice locally)
 #   make lint-analysis  reprolint: invariant static analysis (EXACT,
@@ -30,10 +30,10 @@
 PYTHON ?= python
 export PYTHONPATH := src:.:$(PYTHONPATH)
 
-.PHONY: test test-partitioned test-sqlite test-auto test-process test-remote \
+.PHONY: test test-partitioned test-sqlite test-process test-remote \
 	test-remote-sharded bench bench-stream bench-kernel bench-parallel \
-	bench-storage bench-adaptive bench-remote lint lint-analysis \
-	quickstart
+	bench-storage bench-adaptive bench-remote bench-smoke lint \
+	lint-analysis quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -43,9 +43,6 @@ test-partitioned:
 
 test-sqlite:
 	REPRO_STORAGE=sqlite $(PYTHON) -m pytest -x -q
-
-test-auto:
-	REPRO_EXECUTOR=auto REPRO_WORKERS=4 $(PYTHON) -m pytest -x -q
 
 # Four partitions over two warm workers: every partitioned batch is
 # pickled to the process pool (or, when it cannot pickle, run inline).
@@ -86,6 +83,9 @@ bench-adaptive:
 
 bench-remote:
 	$(PYTHON) -m pytest benchmarks/bench_remote_exec.py -q -s
+
+bench-smoke:
+	$(PYTHON) perfbench/smoke.py
 
 # Real ruff findings always fail; only a *missing* ruff is forgiven,
 # and only outside CI (GitHub Actions exports CI=true).

@@ -1,6 +1,6 @@
-"""The adaptive runtime: warm-pool dispatch, dirty shards, auto routing.
+"""The adaptive runtime: warm-pool dispatch and dirty shards.
 
-Three measurements from the adaptive-runtime work:
+Two measurements from the adaptive-runtime work:
 
 * **Warm pool**: the steady-state dispatch time of a small encoded
   batch (64 items) to the persistent warm worker pool is recorded, and
@@ -9,9 +9,6 @@ Three measurements from the adaptive-runtime work:
   SQLite backend writes a small fraction of the full-relation payload
   (``storage.sqlite.bytes_written`` scales with the *changed* hash
   shards, not the relation size).
-* **Auto routing**: ``REPRO_EXECUTOR=auto`` integrates a heavy
-  federation workload bit-for-bit identically to serial; the speedup it
-  buys is recorded.
 
 Headline numbers land in ``BENCH_RESULTS.json`` via ``bench_record``.
 """
@@ -23,9 +20,8 @@ import time
 import pytest
 
 from repro.datasets.generators import SyntheticConfig, synthetic_relation
-from repro.exec import executor_scope
 from repro.exec.executors import ProcessExecutor
-from repro.integration import Federation, TupleMerger
+from repro.integration import TupleMerger
 from repro.model.relation import partition_index
 from repro.obs import registry
 from repro.storage import open_backend
@@ -129,35 +125,3 @@ def test_dirty_shard_flush_bytes_scale_with_the_delta(
     # a small fraction of the relation payload, not O(relation).
     assert 0 < delta < full / 4
 
-
-def test_auto_matches_serial_and_records_the_speedup(bench_record):
-    federation = Federation(TupleMerger(on_conflict="vacuous"))
-    for index in range(3):
-        config = SyntheticConfig(
-            n_tuples=800,
-            conflict=0.4,
-            ignorance=1.0,
-            exact=False,
-            seed=61 + index,
-        )
-        name = f"s{index}"
-        federation.add_source(name, synthetic_relation(config, name))
-    with executor_scope(executor="serial", workers=1, partitions=None):
-        serial_elapsed, (serial_relation, _) = _timed(
-            lambda: federation.integrate(name="F")
-        )
-    with executor_scope(executor="auto", workers=os.cpu_count() or 1):
-        auto_elapsed, (auto_relation, _) = _timed(
-            lambda: federation.integrate(name="F")
-        )
-    ratio = serial_elapsed / auto_elapsed
-    print(
-        f"\nfederation integrate: serial {serial_elapsed * 1e3:.1f} ms, "
-        f"auto {auto_elapsed * 1e3:.1f} ms ({ratio:.2f}x)"
-    )
-    bench_record("integrate_serial_seconds", serial_elapsed)
-    bench_record("integrate_auto_seconds", auto_elapsed)
-    bench_record("auto_vs_serial_speedup", ratio)
-    # The hard contract is exactness; the speedup is recorded evidence.
-    assert auto_relation == serial_relation
-    assert list(auto_relation.keys()) == list(serial_relation.keys())

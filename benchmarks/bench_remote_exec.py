@@ -10,10 +10,6 @@ at least 4 cores -- requires >= 2x at 4 workers
 (``REMOTE_BENCH_RATIO_FLOOR`` relaxes the bar on noisy shared runners;
 smaller boxes run the equivalence checks and record the timings).
 
-It also pins the cost gate: a handful-of-items batch must never leave
-the process, whatever the cluster looks like -- the wire threshold is
-what keeps remote execution safe to leave enabled.
-
 The shard-locality claim rides along: against workers owning shard
 stores, a *repeated* integration must ship measurably fewer wire bytes
 as entity keys than as encoded tuples, with both modes bit-for-bit
@@ -75,28 +71,15 @@ def serial_result(federation):
     return elapsed, relation
 
 
-def _remote_scope(
-    addr_spec: str,
-    workers: int,
-    threshold: str | None,
-    locality: str | None = None,
-):
+def _remote_scope(addr_spec: str, workers: int, locality: str | None = None):
     saved = {
         key: os.environ.get(key)
-        for key in (
-            "REPRO_WORKERS_ADDRS",
-            "REPRO_REMOTE_THRESHOLD",
-            "REPRO_REMOTE_LOCALITY",
-        )
+        for key in ("REPRO_WORKERS_ADDRS", "REPRO_REMOTE_LOCALITY")
     }
 
     class _Scope:
         def __enter__(self):
             os.environ["REPRO_WORKERS_ADDRS"] = addr_spec
-            if threshold is None:
-                os.environ.pop("REPRO_REMOTE_THRESHOLD", None)
-            else:
-                os.environ["REPRO_REMOTE_THRESHOLD"] = threshold
             if locality is None:
                 os.environ.pop("REPRO_REMOTE_LOCALITY", None)
             else:
@@ -129,7 +112,7 @@ def test_remote_scaling_is_exact_and_recorded(
     bench_record("remote_integrate_serial_seconds", serial_elapsed)
     for size in CLUSTER_SIZES:
         with spawn_local_cluster(size) as cluster:
-            with _remote_scope(cluster.addr_spec, size, threshold="0"):
+            with _remote_scope(cluster.addr_spec, size):
                 batches_before = registry().collect()["exec.remote.batches"]
                 elapsed, (relation, _) = _timed(
                     lambda: federation.integrate(name="F")
@@ -161,7 +144,7 @@ def test_remote_4_workers_beats_serial(federation, serial_result):
 
     serial_elapsed, serial_relation = serial_result
     with spawn_local_cluster(4) as cluster:
-        with _remote_scope(cluster.addr_spec, 4, threshold="0"):
+        with _remote_scope(cluster.addr_spec, 4):
             elapsed, (relation, _) = _timed(
                 lambda: federation.integrate(name="F")
             )
@@ -177,26 +160,22 @@ def test_keyed_scatter_ships_fewer_bytes_than_tuples(
     """Shard-resident workers: repeated integrations ship keys, not rows.
 
     Runs the same federation twice per mode against a 4-worker cluster
-    whose daemons own shard stores: once with locality forced off
-    (PR 9's tuple shipping) and once forced on.  The first keyed run
+    whose daemons own shard stores: once with locality off (tuple
+    shipping) and once on (the default).  The first keyed run
     pays the shard sync; the *second* -- the repeated-integration case
     the locality layer exists for -- must put measurably fewer bytes on
     the wire than tuple shipping does, while both modes stay bit-for-bit
     equal to the serial fold.
     """
-    from repro.exec import cost
     from repro.exec.remote import spawn_local_cluster
 
     _, serial_relation = serial_result
     wire_bytes = {}
-    for mode, label in (("0", "tuple"), ("1", "keyed")):
-        cost.reset_remote_samples()
+    for mode, label in (("0", "tuple"), (None, "keyed")):
         store_dir = tmp_path / label
         store_dir.mkdir()
         with spawn_local_cluster(4, store_dir=store_dir) as cluster:
-            with _remote_scope(
-                cluster.addr_spec, 4, threshold="0", locality=mode
-            ):
+            with _remote_scope(cluster.addr_spec, 4, locality=mode):
                 relation, _ = federation.integrate(name="F")
                 assert relation == serial_relation
                 sent_before = registry().collect()["exec.remote.bytes_sent"]
@@ -213,42 +192,13 @@ def test_keyed_scatter_ships_fewer_bytes_than_tuples(
             assert hits >= 1, "the repeated run must hit the shard stores"
         wire_bytes[label] = sent
         bench_record(f"remote_{label}_repeat_bytes_sent", sent)
-    saved = wire_bytes["tuple"] - wire_bytes["keyed"]
     print(
         f"\nrepeated integrate, bytes sent: tuple {wire_bytes['tuple']}, "
-        f"keyed {wire_bytes['keyed']} ({saved} saved)"
+        f"keyed {wire_bytes['keyed']}"
     )
-    bench_record("remote_keyed_repeat_bytes_saved", saved)
     assert wire_bytes["keyed"] < wire_bytes["tuple"], (
         f"key-only scatter must ship fewer bytes than tuple shipping at "
         f"{N_ENTITIES} entities per source: keyed {wire_bytes['keyed']} "
         f">= tuple {wire_bytes['tuple']}"
     )
 
-
-def test_sub_threshold_batches_never_leave_the_process(bench_record):
-    """The cost gate: a tiny federation stays local even with a cluster."""
-    from repro.exec import cost
-    from repro.exec.remote import spawn_local_cluster
-
-    cost.reset_remote_samples()
-    tiny = Federation(TupleMerger(on_conflict="vacuous"))
-    for index in range(2):
-        config = SyntheticConfig(
-            n_tuples=6, conflict=0.4, ignorance=1.0, exact=False, seed=index
-        )
-        tiny.add_source(f"s{index}", synthetic_relation(config, f"s{index}"))
-    with executor_scope(executor="serial", workers=1, partitions=None):
-        expected, _ = tiny.integrate(name="T")
-    with spawn_local_cluster(2) as cluster:
-        # threshold=None: the cost model itself must keep this local
-        with _remote_scope(cluster.addr_spec, 2, threshold=None):
-            batches_before = registry().collect()["exec.remote.batches"]
-            actual, _ = tiny.integrate(name="T")
-            shipped = (
-                registry().collect()["exec.remote.batches"] - batches_before
-            )
-    bench_record("remote_sub_threshold_batches_shipped", shipped)
-    assert shipped == 0, "a 6-entity batch must never pay a round trip"
-    assert actual == expected
-    assert list(actual.keys()) == list(expected.keys())

@@ -14,9 +14,8 @@ This walks the paper's core loop with the fluent lazy API:
 5. inspect the compact evidence kernel that runs underneath it all,
 6. fan the same work out over a worker pool: the physical execution
    layer shards entity work into hash partitions, and any executor /
-   partition count reproduces the serial result exactly -- including
-   the adaptive runtime (REPRO_EXECUTOR=auto), where a cost model
-   routes each batch to the serial loop or the warm process pool,
+   partition count reproduces the serial result exactly -- the warm
+   process pool and the remote socket cluster included,
 7. persist everything through a pluggable storage backend (json /
    sqlite / append-only log), with write-ahead durability for streams,
 8. watch it all through the unified telemetry layer (repro.obs):
@@ -171,30 +170,17 @@ def main() -> None:
     print(f"back to the default: {current_config().describe()}")
     print()
 
-    # The adaptive runtime.  Picking an executor and partition count by
-    # hand is itself a tuning burden, so `REPRO_EXECUTOR=auto` (or
-    # executor="auto") hands the choice to a cost model (repro.exec.cost):
-    # each batch is priced from its entity count, sources per entity,
-    # focal-set sizes and the live kernel-vs-fallback ratio, then routed
-    # to the serial loop or the process pool -- whichever the estimate
-    # says finishes first.  (There is no thread pool: the merges are
-    # pure-Python arithmetic that holds the GIL.)  Process batches
-    # dispatch through a *warm* worker pool (repro.exec.warmpool): the
-    # fork is paid once and every later batch ships as compact pickled
-    # chunks, which is what makes process workers profitable on the
-    # small batches a stream engine flushes all day (a batch that does
-    # not pickle runs inline instead).  Routing is invisible in
-    # the results -- auto is property-tested bit-for-bit against serial.
-    from repro.exec import cost
-
-    with executor_scope(executor="auto", workers=4):
-        with cost.workload(sources=2.0, focal=4.0):
-            decision = cost.decide_for(len(serial_union), workers=4)
-        print(f"cost model on this workload: {decision.describe()}")
-        adaptive = Session(db).execute("RA UNION RB BY (rname)")
-        assert adaptive.same_tuples(serial_union)
-        assert [t.key() for t in adaptive] == [t.key() for t in serial_union]
-    # Persistence is adaptive too: sqlite stream flushes rewrite only
+    # The warm pool.  Process batches dispatch through a *warm* worker
+    # pool (repro.exec.warmpool): the fork is paid once and every later
+    # batch ships as compact pickled chunks (a batch that does not
+    # pickle runs inline instead).  The executor you configure is the
+    # one that runs -- nothing re-routes a batch behind your back --
+    # and serial is still the fastest path on every recorded benchmark,
+    # so pick process or remote only where you have measured a win.
+    # (There is no thread pool: the merges are pure-Python arithmetic
+    # that holds the GIL.)
+    #
+    # Persistence is incremental: sqlite stream flushes rewrite only
     # the hash shards the batch touched (bytes written scale with the
     # *delta*, watch storage.sqlite.bytes_written), quiet flushes skip
     # the backend entirely, and REPRO_AUTOCOMPACT=1 keeps a log:
@@ -211,16 +197,14 @@ def main() -> None:
     # CMD` wire up a loopback cluster around any command.  Transport
     # failures re-scatter the dead worker's chunks to survivors
     # (exec.remote.retries); with no cluster at all the executor
-    # degrades to local execution, so remote is always safe to enable.
-    # The cost model prices every batch against the measured round-trip
-    # latency and bytes-per-item, so small batches never leave the
-    # process (REPRO_REMOTE_THRESHOLD pins the gate; 0 forces the wire).
+    # degrades to local execution.  Every batch of two or more
+    # partitions crosses the wire: a round trip per batch is the price
+    # of asking for remote.
     from repro.exec.remote import spawn_local_cluster
     from repro.obs import registry as obs_registry
 
     with spawn_local_cluster(2) as cluster:
         os.environ["REPRO_WORKERS_ADDRS"] = cluster.addr_spec
-        os.environ["REPRO_REMOTE_THRESHOLD"] = "0"
         try:
             with executor_scope(executor="remote", workers=2, partitions=4):
                 distributed = Session(db).execute("RA UNION RB BY (rname)")
@@ -230,7 +214,6 @@ def main() -> None:
             ]
         finally:
             del os.environ["REPRO_WORKERS_ADDRS"]
-            del os.environ["REPRO_REMOTE_THRESHOLD"]
         wire = obs_registry().collect()
         print(f"distributed over {cluster!r}")
         print(
@@ -252,17 +235,14 @@ def main() -> None:
     # store epoch, a dead worker, a worker without --store, or an
     # unpublished relation quietly re-ships that chunk (or batch) as
     # tuples -- results are bit-for-bit the serial ones either way.
-    # REPRO_REMOTE_LOCALITY=0 disables keyed scatter, =1 skips the cost
-    # gate; by default the cost model prices key bytes + pending sync
-    # against tuple shipping per batch.  Watch it work through
-    # exec.remote.locality_hits / locality_misses / bytes_saved.
+    # REPRO_REMOTE_LOCALITY=0 disables keyed scatter.  Watch it work
+    # through exec.remote.locality_hits / locality_misses and the
+    # exec.remote.bytes_sent of a repeated integration.
     from repro.integration import Federation, TupleMerger
 
     with tempfile.TemporaryDirectory() as shards:
         with spawn_local_cluster(2, store_dir=shards) as cluster:
             os.environ["REPRO_WORKERS_ADDRS"] = cluster.addr_spec
-            os.environ["REPRO_REMOTE_THRESHOLD"] = "0"
-            os.environ["REPRO_REMOTE_LOCALITY"] = "1"
             try:
                 federation = Federation(TupleMerger(on_conflict="vacuous"))
                 federation.add_source("RA", table_ra())
@@ -280,16 +260,13 @@ def main() -> None:
                 assert keyed_again == baseline
             finally:
                 del os.environ["REPRO_WORKERS_ADDRS"]
-                del os.environ["REPRO_REMOTE_THRESHOLD"]
-                del os.environ["REPRO_REMOTE_LOCALITY"]
             locality = obs_registry().collect()
             print("shard-resident workers (keys, not tuples):")
             print(
                 f"  exec.remote.locality_hits="
                 f"{locality['exec.remote.locality_hits']} "
                 f"locality_misses="
-                f"{locality['exec.remote.locality_misses']} "
-                f"bytes_saved={locality['exec.remote.bytes_saved']}"
+                f"{locality['exec.remote.locality_misses']}"
             )
     print()
 

@@ -213,15 +213,15 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="fan flush re-folds out over N workers (implies the auto "
+        help="fan flush re-folds out over N workers (implies the process "
         "executor unless --executor says otherwise)",
     )
     stream.add_argument(
         "--executor",
-        choices=["serial", "process", "auto"],
+        choices=["serial", "process"],
         default=None,
-        help="physical executor; 'auto' picks per batch via the cost "
-        "model (default: REPRO_EXECUTOR or serial)",
+        help="physical executor (default: process with --workers N > 1, "
+        "else REPRO_EXECUTOR or serial)",
     )
     stream.add_argument(
         "--durable",
@@ -341,14 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=4,
         metavar="N",
         help="cluster size (default 4)",
-    )
-    run.add_argument(
-        "--threshold",
-        type=int,
-        default=0,
-        metavar="N",
-        help="REPRO_REMOTE_THRESHOLD for the command (default 0: "
-        "every batch goes remote)",
     )
     run.add_argument(
         "--store",
@@ -600,7 +592,7 @@ def _command_stream(args: argparse.Namespace, out) -> int:
     if args.executor is not None or args.workers is not None:
         kind = args.executor
         if kind is None and args.workers and args.workers > 1:
-            kind = "auto"
+            kind = "process"
         configure(executor=kind, workers=args.workers)
     db = open_database(args.database)
     durable = open_backend(args.durable) if args.durable else None
@@ -758,7 +750,6 @@ def _command_worker(args: argparse.Namespace, out) -> int:
     env = dict(os.environ)
     env["REPRO_EXECUTOR"] = "remote"
     env["REPRO_WORKERS_ADDRS"] = cluster.addr_spec
-    env["REPRO_REMOTE_THRESHOLD"] = str(args.threshold)
     sharded = " with shard stores" if args.store else ""
     print(
         f"cluster of {args.workers} worker(s){sharded} at "

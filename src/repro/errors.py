@@ -146,7 +146,7 @@ class ConfigError(ExecutionError):
     Raised by :func:`repro.exec.configure` and the ``REPRO_EXECUTOR`` /
     ``REPRO_WORKERS`` / ``REPRO_PARTITIONS`` / ``REPRO_WORKERS_ADDRS``
     environment parsing; the message always names the accepted values
-    (``serial|process|auto|remote``) so an operator sees the fix,
+    (``serial|process|remote``) so an operator sees the fix,
     not just the failure.  Subclasses :class:`ExecutionError`, so
     existing handlers keep working.
     """

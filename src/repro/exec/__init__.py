@@ -7,13 +7,10 @@ entity work into hash partitions and fans the partition tasks out over
 a pluggable worker pool:
 
 * :mod:`repro.exec.executors` -- the :class:`Executor` abstraction
-  (serial / warm process-pool / cost-model ``auto`` / ``remote``), the
-  process-global configuration (:func:`configure`, ``REPRO_EXECUTOR`` /
-  ``REPRO_WORKERS`` / ``REPRO_PARTITIONS``), and fan-out counters;
-* :mod:`repro.exec.cost` -- the adaptive cost model behind
-  ``REPRO_EXECUTOR=auto``: per-entity merge cost from focal-set sizes x
-  source count x kernel-vs-fallback share, choosing partition count and
-  serial or warm pool per call site;
+  (serial / warm process-pool / ``remote``), the process-global
+  configuration (:func:`configure`, ``REPRO_EXECUTOR`` /
+  ``REPRO_WORKERS`` / ``REPRO_PARTITIONS``), and fan-out counters.  The
+  configured executor is the one that runs every batch;
 * :mod:`repro.exec.warmpool` -- the persistent warm ``fork`` worker
   pool (compact task encoding) behind the process executor's
   :meth:`Executor.map_encoded`;
@@ -44,7 +41,6 @@ any other executor and any partition count, every partition-aware path
 
 from repro.exec.executors import (
     EXECUTOR_KINDS,
-    AdaptiveExecutor,
     ExecConfig,
     ExecStats,
     Executor,
@@ -57,8 +53,6 @@ from repro.exec.executors import (
     get_executor,
     partition_count,
 )
-from repro.exec import cost
-from repro.exec.cost import Decision, WorkloadProfile
 from repro.model.relation import partition_index
 
 # The physical/rewrite halves import the plan IR, whose algebra imports
@@ -93,14 +87,10 @@ def __getattr__(name):
 
 __all__ = [
     "EXECUTOR_KINDS",
-    "AdaptiveExecutor",
-    "Decision",
     "ExecConfig",
     "ExecStats",
     "Executor",
     "LocalCluster",
-    "WorkloadProfile",
-    "cost",
     "PassPipeline",
     "PhysicalOperator",
     "ProcessExecutor",

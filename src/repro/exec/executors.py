@@ -26,12 +26,8 @@ through :func:`get_executor` / :func:`partition_count`.  Nested fan-out
 inline: the outer fan-out already owns the worker pool, and nesting
 would deadlock a bounded pool.
 
-``REPRO_EXECUTOR=auto`` opts into the **adaptive runtime**:
-:class:`AdaptiveExecutor` prices each batch with the cost model
-(:mod:`repro.exec.cost` -- focal-set sizes x source count x
-kernel-vs-fallback path, fed by the live telemetry counters) and routes
-it to the serial loop or the warm process pool
-(:mod:`repro.exec.warmpool`), picking the partition count to match.
+The configured executor is the one that runs every batch, and the
+partition count is the configured one (capped at the workload size).
 There is no thread pool: per-entity merges are pure-Python arithmetic
 that holds the GIL, so threads could only add dispatch cost.
 
@@ -56,10 +52,9 @@ from repro.errors import ConfigError, ExecutionError
 from repro.obs import tracing
 from repro.obs.registry import registry as _metrics_registry
 
-#: Accepted executor kinds (``auto`` defers to the cost model per
-#: batch; ``remote`` scatters across socket worker daemons, see
-#: :mod:`repro.exec.remote`).
-EXECUTOR_KINDS = ("serial", "process", "auto", "remote")
+#: Accepted executor kinds (``remote`` scatters across socket worker
+#: daemons, see :mod:`repro.exec.remote`).
+EXECUTOR_KINDS = ("serial", "process", "remote")
 
 
 @dataclass
@@ -184,6 +179,25 @@ def _inside_task():
         _LOCAL.depth -= 1
 
 
+def contiguous_chunks(items: list, count: int) -> list[list]:
+    """*items* split into at most *count* contiguous, order-preserving
+    chunks whose sizes differ by at most one.
+
+    >>> contiguous_chunks([1, 2, 3, 4, 5], 2)
+    [[1, 2, 3], [4, 5]]
+    """
+    if not items:
+        return []
+    count = min(max(count, 1), len(items))
+    size, extra = divmod(len(items), count)
+    chunks, start = [], 0
+    for index in range(count):
+        stop = start + size + (1 if index < extra else 0)
+        chunks.append(items[start:stop])
+        start = stop
+    return chunks
+
+
 # -- executors ----------------------------------------------------------------
 
 
@@ -276,39 +290,6 @@ class ProcessExecutor(Executor):
             return run_inline(fn, common, items)
         note_parallel_batch(len(items))
         return results
-
-
-class AdaptiveExecutor(Executor):
-    """The cost-model router behind ``REPRO_EXECUTOR=auto``.
-
-    Runs each batch inline or on an inner :class:`ProcessExecutor`,
-    whichever the cost model (:mod:`repro.exec.cost`) picked: the
-    preceding :func:`partition_count` call prices the workload (under
-    whatever :func:`repro.exec.cost.workload` hint the call site
-    scoped) and remembers the decision thread-locally; this executor
-    consumes it, so partitioning and executor kind always come from the
-    same pricing.  A batch with no usable remembered decision (or more
-    items than the decision partitioned for) is re-priced from its item
-    count.  Every route is exact -- the equivalence contract holds for
-    any executor -- so routing only ever changes *when* the answer
-    arrives.
-    """
-
-    kind = "auto"
-
-    def __init__(self, workers: int):
-        super().__init__(workers)
-        self._process = ProcessExecutor(workers)
-
-    def _map_encoded(self, fn, common, items):
-        from repro.exec import cost as _cost
-
-        decision = _cost.consume()
-        if decision is None or len(items) > decision.partitions:
-            decision = _cost.decide_for(len(items), self.workers)
-        if decision.kind == "serial":
-            return run_inline(fn, common, items)
-        return self._process.map_encoded(fn, common, items)
 
 
 # -- configuration ------------------------------------------------------------
@@ -406,8 +387,6 @@ def _current() -> ExecConfig:
 def _build_executor(config: ExecConfig) -> Executor:
     if config.kind == "serial":
         return SerialExecutor()
-    if config.kind == "auto":
-        return AdaptiveExecutor(config.workers)
     if config.kind == "remote":
         from repro.exec.remote import RemoteExecutor
 
@@ -491,28 +470,14 @@ atexit.register(_shutdown_at_exit)
 def partition_count(size: int) -> int:
     """Partitions to use for a workload of *size* entities.
 
-    1 (meaning: stay on the serial code path) when the configuration
-    does not partition or the workload is too small to split.
-
-    Under ``REPRO_EXECUTOR=auto`` the count comes from the cost model
-    (:mod:`repro.exec.cost`), priced with the call site's active
-    :func:`~repro.exec.cost.workload` hint; the decision is remembered
-    thread-locally so the :class:`AdaptiveExecutor`'s next ``map`` /
-    ``map_encoded`` routes to the matching executor kind.  An explicit
-    ``REPRO_PARTITIONS`` still pins the partition count.
+    The configured partition count (:meth:`ExecConfig.effective_partitions`)
+    capped at *size*; 1 (meaning: stay on the serial code path) when the
+    configuration does not partition, the workload is too small to
+    split, or the caller is itself a partition task.
     """
     if size <= 1 or _task_depth() > 0:
         return 1
-    config = _current()
-    if config.kind == "auto":
-        from repro.exec import cost as _cost
-
-        decision = _cost.decide_for(size, config.workers)
-        _cost.remember(decision)
-        if config.partitions is not None:
-            return min(config.partitions, size)
-        return min(decision.partitions, size)
-    return min(config.effective_partitions(), size)
+    return min(_current().effective_partitions(), size)
 
 
 @contextmanager

@@ -15,7 +15,7 @@ spend the same machine.  This package carries the same
 * :mod:`repro.exec.remote.worker` -- the worker daemon
   (``repro worker serve HOST:PORT``): accepts connections, runs batch
   frames through the local machinery (optionally fanned over a local
-  warm pool with ``--pool-workers``), and answers heartbeats.
+  warm pool with ``--pool-workers``), and answers liveness pings.
   :func:`spawn_local_cluster` forks *n* daemons on loopback ports for
   tests, benchmarks and ``repro worker run``.
 * :mod:`repro.exec.remote.coordinator` -- :class:`RemoteExecutor`, the
@@ -23,9 +23,8 @@ spend the same machine.  This package carries the same
   configured workers (``REPRO_WORKERS_ADDRS``), gathers results in
   exact serial order, retries a dead worker's chunks on survivors with
   backoff, and transparently runs a batch inline when its payload
-  cannot pickle or the cluster is gone.  Batches the
-  cost model (:mod:`repro.exec.cost`, remote tier) prices below the
-  wire overhead never leave the process.
+  cannot pickle or the cluster is gone.  Every other batch of two or
+  more items ships: no gate keeps work local behind the user's back.
 * :mod:`repro.exec.remote.shards` -- the coordinator-side ledger of the
   data-locality layer: which relation versions each worker's shard
   store holds, delta logs for O(delta) ``SHARD_SYNC`` pushes, and the

@@ -24,15 +24,10 @@ wrong:
   the wire in a ``TASK_ERROR`` frame and is re-raised here, exactly as
   the serial path would have raised it.
 
-Small batches should never pay a network round trip: before scattering,
-the batch is priced against the cost model's remote tier
-(:func:`repro.exec.cost.remote_worthwhile`), which is fed the measured
-round-trip latency and bytes-per-item of every batch this coordinator
-ships (``REPRO_REMOTE_THRESHOLD`` pins the gate to an item count
-instead; ``0`` forces everything remote, which is how the fault and
-equivalence suites exercise the wire).  Unpicklable payloads, an empty
-worker list, and nested fan-out all run inline in the coordinator
-transparently -- serial is the fastest local path on record.
+Every batch of two or more items ships: the executor a user
+configures is the one that runs, and no gate second-guesses it.
+Unpicklable payloads, an empty worker list, and nested fan-out run
+inline in the coordinator transparently.
 
 When every worker owns a shard store (``repro worker serve --store``),
 callers that can describe items as entity keys use
@@ -41,18 +36,16 @@ O(delta) ``SHARD_SYNC`` operations bringing each store current on the
 referenced relations (:class:`~repro.exec.remote.shards.ShardSyncManager`
 plans them from published versions and dirty-key hints), then scatters
 ``KEY_BATCH`` frames carrying key lists instead of tuple blobs; workers
-point-load their rows locally.  The locality tier of the cost model
-prices key bytes plus pending sync against tuple shipping
-(``REPRO_REMOTE_LOCALITY`` forces it ``on``/``off``).  Any epoch
-mismatch, un-synced shard, or worker death degrades that chunk -- or
-the whole batch -- to the tuple-shipping path above, so the equivalence
-contract never depends on store state.  ``exec.remote.locality_hits``/
-``locality_misses`` count the outcomes and ``exec.remote.bytes_saved``
-estimates the avoided traffic.
+point-load their rows locally (``REPRO_REMOTE_LOCALITY=off`` turns
+key-only scatter off).  Any epoch mismatch, un-synced shard, or worker
+death degrades that chunk -- or the whole batch -- to the
+tuple-shipping path above, so the equivalence contract never depends
+on store state.  ``exec.remote.locality_hits``/``locality_misses``
+count the outcomes.
 
 Worker-side telemetry ships home with every reply: kernel-stats deltas
-are applied to the local counters (so ``EXPLAIN ANALYZE`` and the cost
-model see remote work), and tracing spans are re-parented under the
+are applied to the local counters (so ``EXPLAIN ANALYZE`` sees remote
+work), and tracing spans are re-parented under the
 dispatching span so a distributed batch reads as one trace tree.
 """
 
@@ -64,10 +57,11 @@ import threading
 import time
 
 from repro.ds.kernel import apply_kernel_delta
-from repro.errors import ConfigError, ProtocolError, TaskDecodeError
+from repro.errors import ProtocolError, TaskDecodeError
 from repro.exec.executors import (
     Executor,
     _task_depth,
+    contiguous_chunks,
     note_parallel_batch,
     run_inline,
 )
@@ -100,10 +94,6 @@ _FALLBACKS = _METRICS.counter(
     "exec.remote.fallbacks",
     "batches that ran locally (unpicklable payload or no live workers)",
 )
-_LOCAL_BATCHES = _METRICS.counter(
-    "exec.remote.local_batches",
-    "batches the cost model kept local (below the wire threshold)",
-)
 _RTT_SECONDS = _METRICS.histogram(
     "exec.remote.rtt_seconds", "per-chunk round-trip latency"
 )
@@ -114,10 +104,6 @@ _LOCALITY_HITS = _METRICS.counter(
 _LOCALITY_MISSES = _METRICS.counter(
     "exec.remote.locality_misses",
     "key-only chunks that fell back to tuple shipping",
-)
-_BYTES_SAVED = _METRICS.counter(
-    "exec.remote.bytes_saved",
-    "estimated wire bytes key-only scatter avoided",
 )
 
 
@@ -158,7 +144,6 @@ class WorkerClient:
         self._lock = threading.Lock()
         self.dead = False
         self.pid: int | None = None
-        self.rtt: float | None = None
         self.in_flight = 0
         #: Shard-store state (data locality): the worker's store URL and
         #: its last acknowledged ``catalog_version`` (the epoch), plus
@@ -177,7 +162,7 @@ class WorkerClient:
         return sock
 
     def connect(self) -> bool:
-        """Dial and handshake (HELLO + a timed PING); ``False`` on failure."""
+        """Dial and handshake (HELLO); ``False`` on failure."""
         with self._lock:
             if self._sock is not None:
                 return True
@@ -190,12 +175,6 @@ class WorkerClient:
                         f"expected HELLO_REPLY, got {kind.name}"
                     )
                 info = protocol.decode_info(payload)
-                started = time.perf_counter()
-                protocol.send_frame(sock, protocol.FrameKind.PING, b"")
-                kind, _, _ = protocol.recv_frame(sock)
-                if kind != protocol.FrameKind.PONG:
-                    raise ProtocolError(f"expected PONG, got {kind.name}")
-                self.rtt = time.perf_counter() - started
             except (ProtocolError, OSError):
                 self.dead = True
                 return False
@@ -216,9 +195,6 @@ class WorkerClient:
             self.store_url = store_url
             self.store_epoch = store_epoch
             self.dead = False
-        from repro.exec import cost as _cost
-
-        _cost.note_remote_sample(rtt_seconds=self.rtt)
         return True
 
     def reconnect(self) -> bool:
@@ -227,24 +203,8 @@ class WorkerClient:
         self.dead = False
         return self.connect()
 
-    def heartbeat(self) -> float:
-        """One timed PING/PONG round trip; raises on transport failure."""
-        with self._lock:
-            if self._sock is None:
-                raise ProtocolError(f"worker {self.address} is not connected")
-            started = time.perf_counter()
-            protocol.send_frame(self._sock, protocol.FrameKind.PING, b"")
-            kind, _, _ = protocol.recv_frame(self._sock)
-            if kind != protocol.FrameKind.PONG:
-                raise ProtocolError(f"expected PONG, got {kind.name}")
-            self.rtt = time.perf_counter() - started
-        from repro.exec import cost as _cost
-
-        _cost.note_remote_sample(rtt_seconds=self.rtt)
-        return self.rtt
-
     def run_chunk(
-        self, common_blob: bytes, chunk_blob: bytes, n_items: int, trace: bool
+        self, common_blob: bytes, chunk_blob: bytes, trace: bool
     ) -> tuple[list, tuple, object]:
         """Ship one chunk and block for its reply.
 
@@ -252,10 +212,7 @@ class WorkerClient:
         reply re-raises the task's exception; transport trouble raises
         :class:`ProtocolError`/``OSError`` for the coordinator's retry
         logic.  Wire byte counts and the round trip land on the
-        ``exec.remote.*`` metrics here, per chunk; the bytes-per-item
-        observation feeds the cost model's remote tier (the chunk's
-        elapsed time does not -- it includes the compute, so the pure
-        heartbeat RTT is the latency signal).
+        ``exec.remote.*`` metrics here, per chunk.
         """
         payload = protocol.encode_batch(common_blob, chunk_blob, trace)
         with self._lock:
@@ -274,11 +231,6 @@ class WorkerClient:
         _BYTES_SENT.inc(sent)
         _BYTES_RECEIVED.inc(received)
         _RTT_SECONDS.observe(elapsed)
-        from repro.exec import cost as _cost
-
-        _cost.note_remote_sample(
-            bytes_per_item=(sent + received) / max(1, n_items)
-        )
         if kind == protocol.FrameKind.TASK_ERROR:
             raise protocol.decode_error(reply)
         if kind != protocol.FrameKind.RESULT:
@@ -316,18 +268,14 @@ class WorkerClient:
         return protocol.decode_info(reply, what="SHARD_SYNC_REPLY")
 
     def run_chunk_keyed(
-        self, common_blob: bytes, spec_blob: bytes, n_items: int, trace: bool
-    ) -> tuple[list, tuple, object, int]:
+        self, common_blob: bytes, spec_blob: bytes, trace: bool
+    ) -> tuple[list, tuple, object]:
         """Ship one chunk as entity keys and block for its reply.
 
-        Returns ``(results, kernel_delta, spans, wire_bytes)`` -- the
-        extra element is the chunk's actual framed traffic, which the
-        caller compares against the tuple-shipping estimate for
-        ``exec.remote.bytes_saved``.  A ``SHARD_STALE`` reply raises
-        :class:`_ShardStale` (the caller re-ships the chunk as tuples);
-        a ``TASK_ERROR`` re-raises like :meth:`run_chunk`.  Keyed
-        traffic feeds the cost model's *locality* bytes-per-item
-        estimate, never the tuple-shipping one.
+        Returns ``(results, kernel_delta, spans)`` like :meth:`run_chunk`.
+        A ``SHARD_STALE`` reply raises :class:`_ShardStale` (the caller
+        re-ships the chunk as tuples); a ``TASK_ERROR`` re-raises like
+        :meth:`run_chunk`.
         """
         payload = protocol.encode_batch(common_blob, spec_blob, trace)
         with self._lock:
@@ -346,9 +294,6 @@ class WorkerClient:
         _BYTES_SENT.inc(sent)
         _BYTES_RECEIVED.inc(received)
         _RTT_SECONDS.observe(elapsed)
-        from repro.exec import cost as _cost
-
-        _cost.note_locality_sample((sent + received) / max(1, n_items))
         if kind == protocol.FrameKind.SHARD_STALE:
             info = protocol.decode_info(reply, what="SHARD_STALE")
             raise _ShardStale(info.get("reason", "shard store is stale"))
@@ -358,8 +303,7 @@ class WorkerClient:
             raise ProtocolError(
                 f"expected RESULT, TASK_ERROR or SHARD_STALE, got {kind.name}"
             )
-        results, kernel_delta, spans = protocol.decode_result(reply)
-        return results, kernel_delta, spans, sent + received
+        return protocol.decode_result(reply)
 
     def mark_dead(self) -> None:
         """Declare the worker dead and close its socket (idempotent)."""
@@ -465,17 +409,13 @@ class RemoteExecutor(Executor):
         """Scatter ``[fn(common, item) for item in items]`` to the cluster.
 
         Returns results in exact item order, or ``None`` when the batch
-        cannot or should not go remote (unpicklable payload, no live
-        workers, or the cost model priced it below the wire threshold)
-        -- the caller falls back locally, mirroring
+        cannot go remote (unpicklable payload or no live workers) -- the
+        caller falls back locally, mirroring
         :meth:`repro.exec.warmpool.WarmPool.submit_batch`.
         """
         items = list(items)
         if not items:
             return []
-        if not self._worth_shipping(len(items)):
-            _LOCAL_BATCHES.inc()
-            return None
         live = self._live_clients()
         if not live:
             return None
@@ -483,7 +423,7 @@ class RemoteExecutor(Executor):
             common_blob = protocol.encode_common(fn, common)
         except Exception:  # noqa: BLE001 -- any pickling failure: fall back
             return None
-        chunks = self._chunk(items, len(live))
+        chunks = contiguous_chunks(items, len(live))
         trace = tracing.enabled()
         note_parallel_batch(len(items))
         _BATCHES.inc()
@@ -507,24 +447,36 @@ class RemoteExecutor(Executor):
                 )
                 for index, chunk in enumerate(chunks)
             ]
-            gathered, first_error, unshippable = [], None, False
-            for future in futures:
-                try:
-                    gathered.append(future.result())
-                except _UnshippableChunk:
-                    unshippable = True
-                except BaseException as exc:  # noqa: BLE001 -- gather all first
-                    if first_error is None:
-                        first_error = exc
-            if first_error is not None:
-                raise first_error
-            if unshippable:
-                return None
+            return self._gather(futures)
+
+    def _gather(self, futures) -> list | None:
+        """Wait for every chunk future; concatenate results in chunk order.
+
+        Every future is waited on before the first task error is
+        re-raised, so no chunk is still running when the batch fails.
+        Any :class:`_UnshippableChunk` returns ``None`` (the caller runs
+        the batch locally).  Each chunk's worker kernel-stats delta is
+        applied to the local counters and its spans are ingested under
+        the dispatching span.
+        """
+        gathered, first_error, unshippable = [], None, False
+        for future in futures:
+            try:
+                gathered.append(future.result())
+            except _UnshippableChunk:
+                unshippable = True
+            except BaseException as exc:  # noqa: BLE001 -- gather all first
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            raise first_error
+        if unshippable:
+            return None
         results: list = []
         for chunk_results, kernel_delta, spans in gathered:
             results.extend(chunk_results)
             if kernel_delta:
-                self._apply_kernel_delta(kernel_delta)
+                apply_kernel_delta(*kernel_delta)
             if spans:
                 tracing.ingest(spans)
         return results
@@ -552,9 +504,7 @@ class RemoteExecutor(Executor):
         while True:
             if not client.dead:
                 try:
-                    return client.run_chunk(
-                        common_blob, chunk_blob, len(chunk), trace
-                    )
+                    return client.run_chunk(common_blob, chunk_blob, trace)
                 except TaskDecodeError as exc:
                     # The task pickles here but its module does not
                     # import over there (a test module, a __main__
@@ -595,8 +545,8 @@ class RemoteExecutor(Executor):
         ``[(relation_name, keys), ...]`` -- enough for a shard-resident
         worker to rebuild the item from its local store.  Every
         condition that rules out key-only scatter (no shard stores,
-        unpublished relations, stale epochs, cost gate, worker death
-        mid-batch) degrades to the tuple-shipping path, preserving the
+        unpublished relations, stale epochs, worker death mid-batch)
+        degrades to the tuple-shipping path, preserving the
         bit-for-bit equivalence contract.
         """
         items = list(items)
@@ -611,11 +561,11 @@ class RemoteExecutor(Executor):
         """Scatter a batch as key lists; ``None`` defers to tuple shipping.
 
         Whole-batch disqualifiers (locality disabled, a worker without
-        a store, an unpublished relation, a failed sync, the cost gate)
-        return ``None`` so the caller reuses :meth:`submit_batch`
-        unchanged; per-chunk trouble (stale epoch, worker death) is
-        handled inside :meth:`_run_chunk_resilient_keyed` without
-        abandoning the keyed batch.
+        a store, an unpublished relation, a failed sync) return ``None``
+        so the caller reuses :meth:`submit_batch` unchanged; per-chunk
+        trouble (stale epoch, worker death) is handled inside
+        :meth:`_run_chunk_resilient_keyed` without abandoning the keyed
+        batch.
         """
         items = list(items)
         if not items:
@@ -638,10 +588,6 @@ class RemoteExecutor(Executor):
         live = self._live_clients()
         if not live or any(client.store_url is None for client in live):
             return None
-        if mode not in ("1", "on", "force") and not self._worth_shipping_keyed(
-            len(items), live, names
-        ):
-            return None
         synced = self._sync_clients(live, names)
         if not synced:
             return None
@@ -649,7 +595,7 @@ class RemoteExecutor(Executor):
             common_blob = protocol.encode_common(fn, common)
         except Exception:  # noqa: BLE001 -- any pickling failure: fall back
             return None
-        paired = self._chunk(list(zip(specs, items)), len(synced))
+        paired = contiguous_chunks(list(zip(specs, items)), len(synced))
         trace = tracing.enabled()
         note_parallel_batch(len(items))
         _BATCHES.inc()
@@ -670,27 +616,7 @@ class RemoteExecutor(Executor):
                 )
                 for index, pair in enumerate(paired)
             ]
-            gathered, first_error, unshippable = [], None, False
-            for future in futures:
-                try:
-                    gathered.append(future.result())
-                except _UnshippableChunk:
-                    unshippable = True
-                except BaseException as exc:  # noqa: BLE001 -- gather all first
-                    if first_error is None:
-                        first_error = exc
-            if first_error is not None:
-                raise first_error
-            if unshippable:
-                return None
-        results: list = []
-        for chunk_results, kernel_delta, spans in gathered:
-            results.extend(chunk_results)
-            if kernel_delta:
-                self._apply_kernel_delta(kernel_delta)
-            if spans:
-                tracing.ingest(spans)
-        return results
+            return self._gather(futures)
 
     def _sync_clients(self, live, names) -> list | None:
         """Bring every live client's shard store current on *names*.
@@ -760,8 +686,8 @@ class RemoteExecutor(Executor):
                     client.store_epoch or 0, spec_chunk
                 )
                 try:
-                    results, kernel_delta, spans, wire = client.run_chunk_keyed(
-                        common_blob, spec_blob, len(item_chunk), trace
+                    reply = client.run_chunk_keyed(
+                        common_blob, spec_blob, trace
                     )
                 except _ShardStale:
                     _LOCALITY_MISSES.inc()
@@ -775,16 +701,7 @@ class RemoteExecutor(Executor):
                     _WORKER_DEATHS.inc()
                 else:
                     _LOCALITY_HITS.inc()
-                    from repro.exec import cost as _cost
-
-                    saved = int(
-                        _cost.observed_remote_bytes_per_item()
-                        * len(item_chunk)
-                        - wire
-                    )
-                    if saved > 0:
-                        _BYTES_SAVED.inc(saved)
-                    return results, kernel_delta, spans
+                    return reply
             survivors = [peer for peer in synced if not peer.dead]
             if not survivors:
                 # No synced store left: ship the tuples instead.
@@ -796,70 +713,6 @@ class RemoteExecutor(Executor):
             _RETRIES.inc()
             time.sleep(RETRY_BACKOFF * min(attempt, 5))
             client = min(survivors, key=lambda peer: peer.in_flight)
-
-    # -- policy ----------------------------------------------------------------
-
-    def _worth_shipping(self, n_items: int) -> bool:
-        """The remote-tier cost gate (``REPRO_REMOTE_THRESHOLD`` pins it)."""
-        raw = os.environ.get("REPRO_REMOTE_THRESHOLD", "").strip()
-        if raw:
-            try:
-                return n_items >= int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"REPRO_REMOTE_THRESHOLD must be an integer item count, "
-                    f"got {raw!r}"
-                ) from None
-        from repro.exec import cost as _cost
-
-        return _cost.remote_worthwhile(n_items, max(1, len(self.addresses)))
-
-    def _worth_shipping_keyed(self, n_items: int, live, names) -> bool:
-        """The locality-tier cost gate: keys + pending sync vs tuples.
-
-        ``REPRO_REMOTE_THRESHOLD`` pins this gate too, so test runs
-        that force everything remote exercise the keyed path as well.
-        The pending-sync size is the worst lag across the live clients
-        -- every one of them must be brought current before the batch
-        scatters.
-        """
-        raw = os.environ.get("REPRO_REMOTE_THRESHOLD", "").strip()
-        if raw:
-            try:
-                return n_items >= int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"REPRO_REMOTE_THRESHOLD must be an integer item count, "
-                    f"got {raw!r}"
-                ) from None
-        from repro.exec import cost as _cost
-
-        pending = 0
-        for client in live:
-            lag = self._shards.pending_items(client.shard_versions, names)
-            if lag is None:
-                return False
-            pending = max(pending, lag)
-        return _cost.locality_worthwhile(
-            n_items, max(1, len(self.addresses)), pending
-        )
-
-    @staticmethod
-    def _chunk(items: list, workers: int) -> list[list]:
-        """At most *workers* contiguous chunks, sizes differing by <= 1."""
-        count = min(max(workers, 1), len(items))
-        base, extra = divmod(len(items), count)
-        chunks, start = [], 0
-        for index in range(count):
-            size = base + (1 if index < extra else 0)
-            chunks.append(items[start:start + size])
-            start += size
-        return chunks
-
-    @staticmethod
-    def _apply_kernel_delta(delta: tuple) -> None:
-        kernel, fallback, compilations = delta
-        apply_kernel_delta(kernel, fallback, compilations)
 
     def close(self) -> None:
         """Close every client connection and the dispatch pool.

@@ -27,7 +27,7 @@ blob plus a fixed header.  Reply frames carry the chunk results *and*
 the worker-side telemetry: the kernel-stats delta the chunk produced
 (:data:`repro.ds.kernel.STATS` fields) and, when the coordinator asked
 for them, the worker's tracing spans -- shipping observability with the
-data keeps the cost model and trace trees whole across machines.
+data keeps kernel counters and trace trees whole across machines.
 
 The module is deliberately transport-agnostic: every function takes a
 connected socket object, whether TCP or ``AF_UNIX``.

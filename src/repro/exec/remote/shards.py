@@ -17,8 +17,7 @@ relations the next batch will reference -- which is exactly what
   O(delta) upsert list instead of a full snapshot;
 * :meth:`plan_for` turns one client's synced-version map into the
   minimal list of ``SHARD_SYNC`` operations bringing its store current
-  (``[]`` when it already is), and :meth:`pending_items` prices that
-  same plan for the cost gate.
+  (``[]`` when it already is).
 
 Versions here are coordinator-side bookkeeping; the wire-level
 freshness check is the worker store's ``catalog_version`` (the
@@ -166,31 +165,6 @@ class ShardSyncManager:
                     ops.append(op)
                 new_versions[name] = tracked.version
         return ops, new_versions
-
-    def pending_items(self, client_versions: dict, names) -> int | None:
-        """Rows a sync for *names* would push to this client.
-
-        The cost gate's delta-size input: 0 when the client is current,
-        the affected-key count when the delta log covers the gap, the
-        full relation size otherwise.  ``None`` when some name was
-        never published.
-        """
-        total = 0
-        with self._lock:
-            for name in names:
-                tracked = self._tracked.get(name)
-                if tracked is None:
-                    return None
-                op = self._plan_one(
-                    tracked, client_versions.get(name, 0), False
-                )
-                if op is None:
-                    continue
-                if op[0] == "delta":
-                    total += len(op[3]) + len(op[4])
-                else:
-                    total += len(tracked.relation)
-        return total
 
     def __repr__(self) -> str:
         with self._lock:

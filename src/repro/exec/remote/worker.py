@@ -6,8 +6,7 @@ answers each one on its own thread:
 
 * ``HELLO`` -> ``HELLO_REPLY`` with the worker's pid, pool size and
   protocol version -- the coordinator's liveness and identity check;
-* ``PING`` -> ``PONG`` -- heartbeats, also how the coordinator measures
-  the round-trip latency the cost model prices remote dispatch with;
+* ``PING`` -> ``PONG`` -- a liveness probe;
 * ``BATCH`` -> ``RESULT`` (or ``TASK_ERROR`` when the task itself
   raises): the chunk is decoded with the warm pool's compact encoding,
   executed in request order, and the reply carries the results plus the

@@ -36,6 +36,11 @@ import pickle
 import threading
 import time
 
+from dataclasses import astuple
+
+from repro.ds.kernel import STATS as KERNEL_STATS
+from repro.ds.kernel import apply_kernel_delta
+from repro.exec.executors import _inside_task, contiguous_chunks
 from repro.obs import tracing
 from repro.obs.registry import registry as _metrics_registry
 
@@ -61,19 +66,24 @@ _DISPATCH_SECONDS = _METRICS.histogram(
 def _invoke_chunk(common_blob: bytes, chunk_blob: bytes, trace: bool):
     """Worker-side entry: decode one chunk and run its items in order.
 
-    *trace* is the driver's tracing flag at dispatch time: the worker's
-    own copy dates from the fork and may be stale.
+    Returns ``(results, kernel_delta, spans)``.  The kernel-stats delta
+    ships home because the worker's counter increments never reach the
+    driver's process-wide counters.  *trace* is the driver's tracing
+    flag at dispatch time: the worker's own copy dates from the fork
+    and may be stale.
     """
-    from repro.exec.executors import _inside_task
-
     fn, common = pickle.loads(common_blob)
     chunk = pickle.loads(chunk_blob)
+    baseline = KERNEL_STATS.snapshot()
     with _inside_task(), tracing.tracing_scope(trace):
-        if not trace:
-            return [fn(common, item) for item in chunk], None
-        with tracing.capture() as spans:
+        if trace:
+            with tracing.capture() as spans:
+                results = [fn(common, item) for item in chunk]
+        else:
+            spans = None
             results = [fn(common, item) for item in chunk]
-        return results, spans
+    delta = KERNEL_STATS.since(baseline)
+    return results, astuple(delta), spans
 
 
 class WarmPool:
@@ -108,7 +118,7 @@ class WarmPool:
             common_blob = pickle.dumps(
                 (fn, common), protocol=pickle.HIGHEST_PROTOCOL
             )
-            chunks = self._chunk(items)
+            chunks = contiguous_chunks(items, self.workers)
             chunk_blobs = [
                 pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
                 for chunk in chunks
@@ -141,22 +151,12 @@ class WarmPool:
         _TASKS.inc(len(items))
         _DISPATCH_SECONDS.observe(time.perf_counter() - started)
         results: list = []
-        for chunk_results, spans in outcomes:
+        for chunk_results, kernel_delta, spans in outcomes:
+            apply_kernel_delta(*kernel_delta)
             if spans:
                 tracing.ingest(spans)
             results.extend(chunk_results)
         return results
-
-    def _chunk(self, items: list) -> list[list]:
-        """At most ``workers`` contiguous chunks, preserving item order."""
-        count = min(self.workers, len(items))
-        size, extra = divmod(len(items), count)
-        chunks, start = [], 0
-        for index in range(count):
-            stop = start + size + (1 if index < extra else 0)
-            chunks.append(items[start:stop])
-            start = stop
-        return chunks
 
     def _close_pool(self) -> None:
         """Terminate the workers (caller holds the lock)."""

@@ -29,8 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import IntegrationError, TotalConflictError
-from repro.exec import cost as _cost
-from repro.exec.executors import get_executor, partition_count
+from repro.exec.executors import (
+    contiguous_chunks,
+    get_executor,
+    partition_count,
+)
 from repro.model.relation import ExtendedRelation
 from repro.integration.merging import MergeReport, TupleMerger
 from repro.integration.pipeline import _discount_relation, coerce_reliability
@@ -247,23 +250,16 @@ class Federation:
         """
         if not self._sources:
             raise IntegrationError("a federation needs at least one source")
-        # The federation knows its own shape: hint the cost model with
-        # the entity and source counts so ``auto`` mode prices this
-        # integration rather than the defaults.
-        with _cost.workload(
-            entities=max(len(source.relation) for source in self._sources),
-            sources=len(self._sources),
-        ):
-            n = (
-                partition_count(
-                    max(len(source.relation) for source in self._sources)
-                )
-                if len(self._sources) > 1
-                else 1
+        n = (
+            partition_count(
+                max(len(source.relation) for source in self._sources)
             )
-            if n > 1:
-                return self._integrate_partitioned(name, n)
-            return self._integrate_serial(name)
+            if len(self._sources) > 1
+            else 1
+        )
+        if n > 1:
+            return self._integrate_partitioned(name, n)
+        return self._integrate_serial(name)
 
     def _integrate_serial(self, name: str):
         """The historical single-pass fold (also the raise-path oracle)."""
@@ -422,29 +418,22 @@ class Federation:
 
         Entity merges are independent, so the batch fans the per-key
         work out through the configured executor
-        (:func:`repro.exec.get_executor`) in contiguous chunks -- the
-        cost model prices the batch like any other fan-out, and small
-        batches stay serial.  Returns one entry per input key, in input
-        order; each entry is exactly what :meth:`integrate_entity`
-        returns for that key (the merged tuple, or ``None``).
+        (:func:`repro.exec.get_executor`) in contiguous chunks, one per
+        partition (:func:`repro.exec.partition_count`).  Returns one
+        entry per input key, in input order; each entry is exactly what
+        :meth:`integrate_entity` returns for that key (the merged tuple,
+        or ``None``).
         """
         if not self._sources:
             raise IntegrationError("a federation needs at least one source")
         keys = [key if isinstance(key, tuple) else (key,) for key in keys]
         if not keys:
             return []
-        with _cost.workload(entities=len(keys), sources=len(self._sources)):
-            n = partition_count(len(keys))
-            if n <= 1:
-                return [self.integrate_entity(key, name=name) for key in keys]
-            items = [self._entity_item(key) for key in keys]
-            size, extra = divmod(len(items), n)
-            chunks, start = [], 0
-            for index in range(n):
-                stop = start + size + (1 if index < extra else 0)
-                chunks.append(items[start:stop])
-                start = stop
-            results = get_executor().map_encoded(
-                _merge_entity_chunk, self._entity_common(name), chunks
-            )
+        n = partition_count(len(keys))
+        if n <= 1:
+            return [self.integrate_entity(key, name=name) for key in keys]
+        chunks = contiguous_chunks([self._entity_item(key) for key in keys], n)
+        results = get_executor().map_encoded(
+            _merge_entity_chunk, self._entity_common(name), chunks
+        )
         return [etuple for chunk_results in results for etuple in chunk_results]

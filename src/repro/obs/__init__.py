@@ -24,8 +24,6 @@ kernel.compilations                     counter    mass functions compiled to ke
 exec.parallel_batches                   counter    batches fanned out to workers
 exec.inline_batches                     counter    batches run inline (serial / nested / too small)
 exec.tasks                              counter    individual partition tasks dispatched
-exec.auto.serial_decisions              counter    auto-mode batches the cost model kept serial
-exec.auto.process_decisions             counter    auto-mode batches routed to the process pool
 exec.warmpool.dispatches                counter    batches dispatched to the warm worker pool
 exec.warmpool.tasks                     counter    items shipped to warm workers
 exec.warmpool.spawns                    counter    warm pool (re)creations -- forks actually paid
@@ -38,11 +36,9 @@ exec.remote.bytes_received              counter    payload bytes read off the wi
 exec.remote.retries                     counter    chunks re-scattered after a transport failure
 exec.remote.worker_deaths               counter    workers declared dead mid-batch
 exec.remote.fallbacks                   counter    batches run locally (no workers / unpicklable)
-exec.remote.local_batches               counter    batches the cost model kept below the wire
 exec.remote.rtt_seconds                 histogram  per-chunk round-trip latency
 exec.remote.locality_hits               counter    key-only chunks served from worker shard stores
 exec.remote.locality_misses             counter    key-only chunks that fell back to tuple shipping
-exec.remote.bytes_saved                 counter    estimated wire bytes key-only scatter avoided
 session.queries                         counter    queries executed, summed over live sessions
 session.plans_built                     counter    plans compiled (cache misses)
 session.plan_cache_hits                 counter    plan-cache hits

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 from repro.ds.kernel import STATS as KERNEL_STATS
 from repro.errors import PlanError, ReproError
-from repro.exec import cost as _cost
 from repro.exec.executors import STATS as EXEC_STATS
 from repro.exec.executors import current_config, partition_count
 from repro.exec.physical import apply_node, lower_node
@@ -512,15 +511,9 @@ class Session:
             return cached
         inputs = tuple(self._run(child) for child in plan.children())
         # Evaluate through the physical layer: the node may shard its
-        # work over the configured executor, and the input cardinalities
-        # hint the cost model so ``auto`` mode prices the node's actual
-        # fan-out.  Cache keys (per-subtree plan fingerprints) are
-        # untouched by physical lowering.
-        with _cost.workload(
-            entities=max((len(relation) for relation in inputs), default=0),
-            sources=max(len(inputs), 1),
-        ):
-            result = apply_node(plan, inputs, self._db)
+        # work over the configured executor.  Cache keys (per-subtree
+        # plan fingerprints) are untouched by physical lowering.
+        result = apply_node(plan, inputs, self._db)
         self._stats.node_executions += 1
         self._remember(self._results, key, result)
         self._result_deps[key] = scan_names(plan)

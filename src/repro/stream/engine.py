@@ -41,10 +41,8 @@ from dataclasses import dataclass
 
 from repro.ds.kernel import STATS as KERNEL_STATS
 from repro.errors import StreamError, TotalConflictError
-from repro.exec import cost as _exec_cost
 from repro.exec.executors import get_executor, partition_count
 from repro.integration.merging import MergeReport, TupleMerger
-from repro.model.evidence import EvidenceSet
 from repro.integration.pipeline import coerce_reliability, discount_tuple
 from repro.model.etuple import ExtendedTuple
 from repro.model.membership import CERTAIN
@@ -599,16 +597,12 @@ class StreamEngine:
             for key in touched
             if (entity := self._state.get(key)) is not None and entity.dirty
         ]
-        # Describe the batch to the cost model (entity/source/focal shape
-        # sampled from the dirty set) so ``auto`` mode prices the actual
-        # refold workload rather than the defaults.
-        with _exec_cost.workload(**self._workload_hint(dirty)):
-            n = partition_count(len(dirty))
-            if n > 1:
-                self._refold_partitioned(dirty, order, n)
-            else:
-                for entity in dirty:
-                    self._refold(entity, order)
+        n = partition_count(len(dirty))
+        if n > 1:
+            self._refold_partitioned(dirty, order, n)
+        else:
+            for entity in dirty:
+                self._refold(entity, order)
         refold_done = time.perf_counter() if profiling else 0.0
         for key in touched:
             entity = self._state.get(key)
@@ -789,35 +783,6 @@ class StreamEngine:
         delta = KERNEL_STATS.since(baseline)
         self._stats.kernel_combinations += delta.kernel_combinations
         self._stats.fallback_combinations += delta.fallback_combinations
-
-    def _workload_hint(self, dirty) -> dict:
-        """Sample the dirty set into :func:`repro.exec.cost.workload` kwargs.
-
-        A small prefix sample (the dirty list is already in stable
-        sorted-key order) estimates the average source count and the
-        largest focal-set size per entity -- the two inputs the cost
-        model cannot observe from global counters.  Sampling keeps the
-        hint O(1) per flush regardless of batch size.
-        """
-        if not dirty:
-            return {}
-        sample = dirty[:8]
-        sources = sum(
-            len(entity.contributions) for entity in sample
-        ) / len(sample)
-        focal_sizes = []
-        for entity in sample:
-            largest = 0
-            for contribution in entity.contributions.values():
-                for _name, value in contribution.discounted.items():
-                    if isinstance(value, EvidenceSet):
-                        largest = max(largest, len(value.mass_function))
-            if largest:
-                focal_sizes.append(largest)
-        hint = {"entities": len(dirty), "sources": sources}
-        if focal_sizes:
-            hint["focal"] = sum(focal_sizes) / len(focal_sizes)
-        return hint
 
     def _refold_partitioned(self, dirty, order, n: int) -> None:
         """Drain the pending re-folds as per-partition merge batches.

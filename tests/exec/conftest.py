@@ -16,31 +16,17 @@ import pytest
 
 
 @contextlib.contextmanager
-def _remote_env(addr_spec: str, threshold: str | None = "0"):
-    """Point ``REPRO_WORKERS_ADDRS`` at *addr_spec* for the duration.
-
-    *threshold* pins ``REPRO_REMOTE_THRESHOLD`` (``"0"`` forces every
-    batch onto the wire -- the default here, so tests exercise the
-    sockets rather than the cost gate); ``None`` leaves the cost model
-    in charge.
-    """
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_WORKERS_ADDRS", "REPRO_REMOTE_THRESHOLD")
-    }
+def _remote_env(addr_spec: str):
+    """Point ``REPRO_WORKERS_ADDRS`` at *addr_spec* for the duration."""
+    saved = os.environ.get("REPRO_WORKERS_ADDRS")
     os.environ["REPRO_WORKERS_ADDRS"] = addr_spec
-    if threshold is None:
-        os.environ.pop("REPRO_REMOTE_THRESHOLD", None)
-    else:
-        os.environ["REPRO_REMOTE_THRESHOLD"] = threshold
     try:
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_WORKERS_ADDRS", None)
+        else:
+            os.environ["REPRO_WORKERS_ADDRS"] = saved
 
 
 @pytest.fixture(scope="session")

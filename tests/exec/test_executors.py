@@ -9,7 +9,6 @@ import pytest
 from repro.errors import ConfigError, ExecutionError, RelationError
 from repro.exec import (
     EXECUTOR_KINDS,
-    AdaptiveExecutor,
     ProcessExecutor,
     SerialExecutor,
     configure,
@@ -59,19 +58,33 @@ class TestConfiguration:
 
     def test_configure_switches_executor_kinds(self):
         with executor_scope():
-            assert configure(executor="auto", workers=3).kind == "auto"
-            assert isinstance(get_executor(), AdaptiveExecutor)
             assert configure(executor="process", workers=2).kind == "process"
             assert isinstance(get_executor(), ProcessExecutor)
+            assert configure(executor="serial").kind == "serial"
+            assert isinstance(get_executor(), SerialExecutor)
 
     def test_thread_executor_is_rejected(self, monkeypatch):
         # Not a kind: per-entity merges hold the GIL, so threads only
         # add dispatch cost.
         removed = "thread"
         with executor_scope():
-            with pytest.raises(ConfigError, match="serial.*process.*auto"):
+            with pytest.raises(ConfigError, match="serial.*process.*remote"):
                 configure(executor=removed)
         monkeypatch.setenv("REPRO_EXECUTOR", removed)
+        with pytest.raises(ConfigError, match="REPRO_EXECUTOR.*remote"):
+            _config_from_env()
+
+    @pytest.mark.parametrize("kind", ["auto", "AUTO"])
+    def test_auto_executor_is_rejected(self, monkeypatch, kind):
+        # Not a kind: the executor a user configures is the one that
+        # runs, so there is no per-batch router to defer to.
+        with executor_scope():
+            with pytest.raises(ConfigError) as excinfo:
+                configure(executor=kind)
+            for accepted in ("serial", "process", "remote"):
+                assert accepted in str(excinfo.value)
+            assert current_config().kind != "auto"
+        monkeypatch.setenv("REPRO_EXECUTOR", kind)
         with pytest.raises(ConfigError, match="REPRO_EXECUTOR.*remote"):
             _config_from_env()
 
@@ -165,7 +178,7 @@ class TestConfiguration:
         assert _config_from_env().workers == (os.cpu_count() or 1)
 
     def test_all_kinds_are_constructible(self):
-        assert EXECUTOR_KINDS == ("serial", "process", "auto", "remote")
+        assert EXECUTOR_KINDS == ("serial", "process", "remote")
         for kind in EXECUTOR_KINDS:
             with executor_scope(executor=kind, workers=2):
                 assert get_executor().kind == kind

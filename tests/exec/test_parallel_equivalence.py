@@ -2,12 +2,12 @@
 
 The acceptance bar of the partitioned physical layer: for random
 relations, random partition counts in 1..8 and every local executor
-(serial, the warm process pool, and the cost-model-driven ``auto``),
-every algebra operation, ``Federation.integrate`` and stream
-interleavings must produce *exactly* the serial single-partition result
--- same tuples in the same order, exact Fractions exactly, floats
-bit-for-bit -- including the total-conflict fallback paths, where no
-fold order is canonical but the implementation promises the serial one.
+(serial and the warm process pool), every algebra operation,
+``Federation.integrate`` and stream interleavings must produce
+*exactly* the serial single-partition result -- same tuples in the
+same order, exact Fractions exactly, floats bit-for-bit -- including
+the total-conflict fallback paths, where no fold order is canonical but
+the implementation promises the serial one.
 
 Baselines are always computed under a forced serial/1-partition scope so
 the suite stays meaningful when CI runs it with ``REPRO_EXECUTOR``
@@ -40,7 +40,7 @@ from repro.stream import StreamEngine
 
 #: Serial runs partitioned too: every partition count above 1 splits,
 #: fans out inline and reassembles, the same path the pools take.
-EXECUTORS = ("serial", "process", "auto")
+EXECUTORS = ("serial", "process")
 
 #: One executor per hypothesis example (drawn), every partition count
 #: 1..8 checked inside the example.

@@ -1,9 +1,10 @@
 """The :class:`RemoteExecutor` against a real loopback cluster.
 
-Order exactness, remote placement (pids), wire telemetry, the cost
-gate, graceful local fallbacks, configuration errors, and shutdown
-idempotence.  Fault injection (worker death, dropped connections,
-truncated frames) lives in ``test_remote_faults.py``.
+Order exactness, remote placement (pids), wire telemetry, shipping
+every batch it is given, graceful local fallbacks, configuration
+errors, and shutdown idempotence.  Fault injection (worker death,
+dropped connections, truncated frames) lives in
+``test_remote_faults.py``.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import os
 
 import pytest
 
+from repro.datasets.generators import SyntheticConfig, synthetic_relation
 from repro.errors import ConfigError
 from repro.exec import configure, executor_scope, get_executor
 from repro.exec.executors import EXECUTOR_KINDS, _shutdown_at_exit
 from repro.exec.remote import RemoteExecutor
 from repro.exec.remote.worker import parse_address
+from repro.integration import Federation, TupleMerger
 from repro.obs.registry import registry
 
 
@@ -93,50 +96,34 @@ def _divide_common(common, item):
     return item / common
 
 
-# -- staying local when remote cannot or should not help ----------------------
+# -- every batch ships --------------------------------------------------------
 
 
-def test_cost_gate_keeps_small_batches_local(remote_cluster, remote_env):
-    from repro.exec import cost
-
-    cost.reset_remote_samples()
-    with remote_env(remote_cluster.addr_spec, threshold=None):
-        executor = RemoteExecutor()
-        try:
+def test_partitioned_integrate_ships_one_batch(remote_cluster, remote_env):
+    """No gate keeps a multi-partition batch local: it crosses the wire."""
+    federation = Federation(TupleMerger(on_conflict="vacuous"))
+    for index in range(3):
+        name = f"s{index}"
+        config = SyntheticConfig(
+            n_tuples=60,
+            conflict=0.4,
+            ignorance=1.0,
+            exact=False,
+            seed=40 + index,
+        )
+        federation.add_source(name, synthetic_relation(config, name))
+    with executor_scope(executor="serial", workers=1, partitions=None):
+        expected, _ = federation.integrate(name="F")
+    with remote_env(remote_cluster.addr_spec):
+        with executor_scope(executor="remote", workers=2, partitions=4):
             batches = _metric("exec.remote.batches")
-            local = _metric("exec.remote.local_batches")
-            assert executor.map_encoded(_tag_pid, 1, [1, 2, 3]) == [
-                (os.getpid(), 1),
-                (os.getpid(), 2),
-                (os.getpid(), 3),
-            ]
-        finally:
-            executor.close()
-    assert _metric("exec.remote.batches") == batches, (
-        "a 3-item batch must never pay a network round trip"
-    )
-    assert _metric("exec.remote.local_batches") == local + 1
+            relation, _ = federation.integrate(name="F")
+            assert _metric("exec.remote.batches") == batches + 1
+    assert relation == expected
+    assert list(relation.keys()) == list(expected.keys())
 
 
-def test_threshold_env_pins_the_gate(remote_cluster, remote_env):
-    with remote_env(remote_cluster.addr_spec, threshold="1000"):
-        executor = RemoteExecutor()
-        try:
-            batches = _metric("exec.remote.batches")
-            executor.map_encoded(_tag_pid, 1, list(range(100)))
-            assert _metric("exec.remote.batches") == batches
-        finally:
-            executor.close()
-
-
-def test_malformed_threshold_raises_config_error(remote_cluster, remote_env):
-    with remote_env(remote_cluster.addr_spec, threshold="lots"):
-        executor = RemoteExecutor()
-        try:
-            with pytest.raises(ConfigError, match="REPRO_REMOTE_THRESHOLD"):
-                executor.map_encoded(_tag_pid, 1, list(range(10)))
-        finally:
-            executor.close()
+# -- staying local when remote cannot help ------------------------------------
 
 
 def test_closures_fall_back_locally(remote_cluster, remote_env):
@@ -154,7 +141,7 @@ def test_closures_fall_back_locally(remote_cluster, remote_env):
 
 
 def test_no_addresses_degrades_to_local(remote_env):
-    with remote_env("", threshold="0"):
+    with remote_env(""):
         executor = RemoteExecutor()
         try:
             assert executor.map(_double, range(12)) == [

@@ -7,7 +7,8 @@ serial one -- same tuples, same order, exact masses.  These tests drive
 every transition of the fallback ladder:
 
 * the happy path: repeated integrations hit the shard stores
-  (``exec.remote.locality_hits``) and save wire bytes;
+  (``exec.remote.locality_hits``) and send fewer wire bytes than tuple
+  shipping;
 * a worker killed mid-key-batch: the chunk retries on a synced
   survivor, results stay exact;
 * a stale shard epoch (the store mutated out-of-band): the worker
@@ -138,7 +139,7 @@ def test_keyed_integration_equals_serial(
     federation = _federation(n_tuples, conflict, seed)
     expected = _serial(federation)
     with remote_env(sharded_cluster.addr_spec):
-        with _locality("1"):
+        with _locality(None):
             with executor_scope(executor="remote", workers=2, partitions=4):
                 relation, _ = federation.integrate(name="F")
     assert _identical(relation, expected)
@@ -147,25 +148,26 @@ def test_keyed_integration_equals_serial(
 def test_repeated_integration_hits_shards_and_saves_bytes(
     sharded_cluster, remote_env
 ):
-    """The point of the layer: repeat runs ship keys and count savings."""
+    """The point of the layer: a repeat run ships keys, not tuples."""
     federation = _federation(150, 0.4, 71)
     expected = _serial(federation)
     with remote_env(sharded_cluster.addr_spec):
         with executor_scope(executor="remote", workers=2, partitions=4):
-            # A tuple-shipping run first, so the cost model holds a
-            # measured bytes-per-item estimate for the savings metric.
             with _locality("0"):
+                sent_before = _metric("exec.remote.bytes_sent")
                 relation, _ = federation.integrate(name="F")
+                tuple_bytes = _metric("exec.remote.bytes_sent") - sent_before
                 assert _identical(relation, expected)
-            with _locality("1"):
+            with _locality(None):
                 first, _ = federation.integrate(name="F")
                 hits_before = _metric("exec.remote.locality_hits")
-                saved_before = _metric("exec.remote.bytes_saved")
+                sent_before = _metric("exec.remote.bytes_sent")
                 second, _ = federation.integrate(name="F")
+                keyed_bytes = _metric("exec.remote.bytes_sent") - sent_before
     assert _identical(first, expected)
     assert _identical(second, expected)
     assert _metric("exec.remote.locality_hits") > hits_before
-    assert _metric("exec.remote.bytes_saved") > saved_before
+    assert 0 < keyed_bytes < tuple_bytes
 
 
 # -- fault injection ----------------------------------------------------------
@@ -175,7 +177,7 @@ def test_worker_death_mid_key_batch_retries_on_survivor(remote_env):
     relation, specs, items, expected = _keyed_batch()
     with tempfile.TemporaryDirectory(prefix="repro-shards-") as store_dir:
         with spawn_local_cluster(2, store_dir=store_dir) as cluster:
-            with remote_env(cluster.addr_spec), _locality("1"):
+            with remote_env(cluster.addr_spec), _locality(None):
                 executor = RemoteExecutor()
                 try:
                     executor.publish_relation(relation)
@@ -206,7 +208,7 @@ def test_stale_shard_epoch_falls_back_to_tuple_shipping(remote_env):
     relation, specs, items, expected = _keyed_batch()
     with tempfile.TemporaryDirectory(prefix="repro-shards-") as store_dir:
         with spawn_local_cluster(2, store_dir=store_dir) as cluster:
-            with remote_env(cluster.addr_spec), _locality("1"):
+            with remote_env(cluster.addr_spec), _locality(None):
                 executor = RemoteExecutor()
                 try:
                     executor.publish_relation(relation)
@@ -248,7 +250,7 @@ def test_storeless_worker_forces_tuple_shipping(remote_env):
         with spawn_local_cluster(1, store_dir=store_dir) as sharded:
             with spawn_local_cluster(1) as plain:
                 spec = f"{sharded.addr_spec},{plain.addr_spec}"
-                with remote_env(spec), _locality("1"):
+                with remote_env(spec), _locality(None):
                     executor = RemoteExecutor()
                     try:
                         executor.publish_relation(relation)
@@ -267,7 +269,7 @@ def test_unpublished_relation_forces_tuple_shipping(
 ):
     """Specs naming a never-published relation cannot go keyed."""
     _relation, specs, items, expected = _keyed_batch()
-    with remote_env(sharded_cluster.addr_spec), _locality("1"):
+    with remote_env(sharded_cluster.addr_spec), _locality(None):
         executor = RemoteExecutor()
         try:
             hits = _metric("exec.remote.locality_hits")

@@ -39,7 +39,6 @@ def test_fresh_client_receives_a_full_snapshot():
     assert ops[0][1] == "R"
     assert ops[0][2] is relation
     assert versions == {"R": 1}
-    assert manager.pending_items({}, ["R"]) == len(relation)
 
 
 def test_current_client_receives_nothing():
@@ -48,13 +47,11 @@ def test_current_client_receives_nothing():
     ops, versions = manager.plan_for({"R": 1}, ["R"])
     assert ops == []
     assert versions == {"R": 1}
-    assert manager.pending_items({"R": 1}, ["R"]) == 0
 
 
 def test_unpublished_name_plans_none():
     manager = ShardSyncManager()
     assert manager.plan_for({}, ["ghost"]) is None
-    assert manager.pending_items({}, ["ghost"]) is None
 
 
 def test_lagging_client_receives_only_the_delta():
@@ -74,7 +71,6 @@ def test_lagging_client_receives_only_the_delta():
     assert upserts == []
     assert removes == [removed_key]
     assert versions == {"R": 2}
-    assert manager.pending_items({"R": 1}, ["R"]) == 1
 
 
 def test_dirty_hints_shape_the_delta():

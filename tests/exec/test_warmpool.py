@@ -13,8 +13,16 @@ import os
 
 import pytest
 
+from repro.ds import OMEGA, MassFunction, combine
+from repro.ds.frame import FrameOfDiscernment
+from repro.ds.kernel import kernel_stats
 from repro.exec import warmpool
-from repro.exec.executors import ProcessExecutor, executor_scope, get_executor
+from repro.exec.executors import (
+    ProcessExecutor,
+    contiguous_chunks,
+    executor_scope,
+    get_executor,
+)
 from repro.obs import registry, tracing
 
 
@@ -51,6 +59,11 @@ def _spanned(common, item):
         return item
 
 
+def _combine_self(common, item):
+    """One kernel-path Dempster combination per item."""
+    return combine(common, common) == common
+
+
 @pytest.fixture()
 def pool():
     warm = warmpool.WarmPool(workers=2)
@@ -73,6 +86,15 @@ class TestWarmPool:
     def test_work_runs_in_child_processes(self, pool):
         pids = set(pool.submit_batch(_whoami, None, list(range(8))))
         assert os.getpid() not in pids
+
+    def test_worker_kernel_counts_reach_the_driver(self, pool):
+        # Combinations run in the forked workers; their counter deltas
+        # ship home with the results, so profiles see the work.
+        frame = FrameOfDiscernment("f", ["a", "b"])
+        mass = MassFunction({"a": "1/2", OMEGA: "1/2"}, frame)
+        before = kernel_stats().snapshot()
+        pool.submit_batch(_combine_self, mass, list(range(6)))
+        assert kernel_stats().since(before).kernel_combinations == 6
 
     def test_unpicklable_payload_declined_before_dispatch(self, pool):
         fallbacks = registry().counter("exec.warmpool.fallbacks")
@@ -120,10 +142,12 @@ class TestWarmPool:
     def test_chunks_are_contiguous_and_cover_everything(self, pool):
         for count in (1, 2, 3, 7):
             items = list(range(count))
-            chunks = pool._chunk(items)
+            chunks = contiguous_chunks(items, pool.workers)
             assert len(chunks) <= pool.workers
             assert [x for chunk in chunks for x in chunk] == items
             assert all(chunk for chunk in chunks)
+            sizes = [len(chunk) for chunk in chunks]
+            assert max(sizes) - min(sizes) <= 1
 
 
 class TestPoolRegistry:
@@ -171,6 +195,6 @@ class TestMapEncoded:
     def test_every_executor_kind_agrees(self):
         items = list(range(9))
         expected = [5 * x for x in items]
-        for kind in ("serial", "process", "auto"):
+        for kind in ("serial", "process"):
             with executor_scope(executor=kind, workers=2):
                 assert get_executor().map_encoded(_scale, 5, items) == expected

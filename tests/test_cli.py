@@ -310,7 +310,7 @@ class TestStream:
     def test_workers_flag_fans_out_and_matches_serial(
         self, demo_db, events_file, tmp_path
     ):
-        """--workers N without --executor replays under ``auto``; the
+        """--workers N without --executor replays under ``process``; the
         integrated relation is identical to the serial replay."""
         from repro.exec import executor_scope
 
@@ -327,7 +327,7 @@ class TestStream:
                 "--schema", "RA", "--workers", "3", "--save", str(pooled_out),
             )
             assert status == 0
-            assert "executor: auto, 3 worker(s)" in output
+            assert "executor: process, 3 worker(s)" in output
         serial_db = read_database(serial_out)
         pooled_db = read_database(pooled_out)
         assert pooled_db.get("integrated") == serial_db.get("integrated")
